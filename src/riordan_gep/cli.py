@@ -50,6 +50,20 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
+_positive = _int_at_least(1)
+_nonnegative = _int_at_least(0)
+
+
 def _eval(expr_text: str, order: int) -> Series:
     ast = parse_expr(expr_text)
     return eval_expr(ast, order)
@@ -73,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     series_sub = p.add_subparsers(dest="series_command", required=True)
     ev = series_sub.add_parser("eval", parents=[common], help="expand an expression")
     ev.add_argument("expr")
-    ev.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    ev.add_argument("--order", type=_nonnegative, default=DEFAULT_ORDER)
 
     p = sub.add_parser("riordan", help="Riordan array windows")
     riordan_sub = p.add_subparsers(dest="riordan_command", required=True)
@@ -81,29 +95,29 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--f", required=True, help="first component (b for square arrays)")
     tab.add_argument("--g", required=True, help="second component (a for square arrays)")
     tab.add_argument("--kind", choices=("ordinary", "square", "exp"), default="ordinary")
-    tab.add_argument("--rows", type=int, default=8)
-    tab.add_argument("--cols", type=int, default=8)
+    tab.add_argument("--rows", type=_positive, default=8)
+    tab.add_argument("--cols", type=_positive, default=8)
 
     p = sub.add_parser("gep", help="generalized Euler polynomials and transforms")
     gep_sub = p.add_subparsers(dest="gep_command", required=True)
     for which in ("alpha", "u", "v"):
         q = gep_sub.add_parser(which, parents=[common], help=f"the {which} polynomial")
         q.add_argument("--a", required=True, help="base series expression, a(0) = 1")
-        q.add_argument("--n", type=int, required=True)
+        q.add_argument("--n", type=_positive, required=True)
     q = gep_sub.add_parser("matrix", parents=[common], help="transform matrices")
     q.add_argument("which", choices=("U", "Uinv", "V", "Vinv", "VU", "UinvVinv"))
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=_positive, required=True)
 
     p = sub.add_parser("euler", parents=[common], help="Eulerian numerator polynomial")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive, required=True)
 
     p = sub.add_parser("w", parents=[common], help="multinomial transform matrix")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_positive, required=True)
+    p.add_argument("--m", type=_positive, required=True)
     p.add_argument("--check", action="store_true", help="report identity checks instead")
 
     p = sub.add_parser("abeta", parents=[common], help="shift-conjugation transform matrix")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--beta", type=_fraction, required=True)
     p.add_argument("--construction", choices=("conj", "dtilde", "log"), default="conj")
 
@@ -111,22 +125,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="base series expression, a(0) = 1")
     p.add_argument("--beta", type=_fraction, required=True)
     p.add_argument("--phi", type=_fraction, default=Fraction(1))
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p.add_argument("--order", type=_nonnegative, default=DEFAULT_ORDER)
 
     p = sub.add_parser("dirichlet", help="formal Dirichlet series tables")
     dir_sub = p.add_subparsers(dest="dirichlet_command", required=True)
     tab = dir_sub.add_parser("table", parents=[common], help="window of a power array")
     tab.add_argument("--preset", choices=("zeta", "zeta-inv", "zeta-log"), required=True)
-    tab.add_argument("--rows", type=int, default=12)
-    tab.add_argument("--cols", type=int, default=4)
+    tab.add_argument("--rows", type=_positive, default=12)
+    tab.add_argument("--cols", type=_positive, default=4)
     g = dir_sub.add_parser("g", parents=[common], help="Carlitz-Hoggatt polynomial")
-    g.add_argument("--p", type=int, required=True)
-    g.add_argument("--r", type=int, required=True)
+    g.add_argument("--p", type=_positive, required=True)
+    g.add_argument("--r", type=_positive, required=True)
 
     p = sub.add_parser("verify", parents=[common], help="run the invariant suites")
     p.add_argument("suite", choices=("all",) + SUITE_NAMES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-n", type=int, default=None, dest="max_n")
+    p.add_argument("--max-n", type=_positive, default=None, dest="max_n")
     return top
 
 
@@ -175,9 +189,9 @@ def _dispatch(args) -> OutputDoc:
             alt_ok = wmatrix.w_alt_form(n, args.m) == w.matrix
             ident_ok = wmatrix.w_identities(n, args.m, 2)
             rows = [
-                ["w", "column sums are m^n", "ok" if sums_ok else "FAIL"],
-                ["w", "alternative construction agrees", "ok" if alt_ok else "FAIL"],
-                ["w", "multiplicativity/reversal/eigenvector", "ok" if ident_ok else "FAIL"],
+                ["w", "column sums are m^n", "ok" if sums_ok else "FAIL", ""],
+                ["w", "alternative construction agrees", "ok" if alt_ok else "FAIL", ""],
+                ["w", "multiplicativity/reversal/eigenvector", "ok" if ident_ok else "FAIL", ""],
             ]
             return OutputDoc(kind="VerifyReport", entries=rows)
         return matrix_doc(w.matrix, n=n)

@@ -12,6 +12,9 @@ Grammar (LL(1), precedence high to low: unary minus, ^, * /, + -):
     exponent := '-'? (INT | '(' rational ')')
     rational := '-'? (INT ('/' INT)? | '(' rational ')')
 
+Parentheses, function calls, unary minus and exponent signs nest at most
+MAX_NESTING levels deep; deeper input is a ParseError, not a RecursionError.
+
 Unary minus binds tighter than '^', so -x^2 parses as (-x)^2.  Exponents
 are rational scalars: x^2 and x^-2 are fine, fractional ones need parens
 as in (1+x)^(1/2), and x^2/4 is (x^2)/4.  '/' elsewhere is series
@@ -87,6 +90,10 @@ class Func:
 
 _FUNCS1 = ("exp", "log", "inv", "rev", "sqrt")
 
+# A level costs the parser six stack frames and the evaluator at most three,
+# so 100 levels stay well inside Python's default recursion limit of 1000.
+MAX_NESTING = 100
+
 
 def _tokenize(text: str):
     tokens = []
@@ -119,11 +126,27 @@ def _tokenize(text: str):
     return tokens
 
 
+def _nesting_limited(step):
+    """Count the active calls of a recursive parse step; refuse one too many."""
+
+    def limited(self, *args):
+        if self.depth == MAX_NESTING:
+            tok = self.peek()
+            raise ParseError(tok[2], f"at most {MAX_NESTING} levels of nesting", tok[1] or "end of input")
+        self.depth += 1
+        result = step(self, *args)
+        self.depth -= 1
+        return result
+
+    return limited
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -170,6 +193,7 @@ class _Parser:
             node = PowRational(node, expo, (node.span[0], end))
         return node
 
+    @_nesting_limited
     def base(self):
         tok = self.peek()
         if tok[0] == "-":
@@ -178,40 +202,28 @@ class _Parser:
             return Unary("neg", inner, (start, inner.span[1]))
         return self.atom()
 
-    def exponent(self):
+    @_nesting_limited
+    def exponent(self, bare=True):
         """Signed rational scalar; returns (Fraction, end offset).
 
         A bare exponent is an optionally-signed integer; fractional
         exponents must be parenthesized so that x^2/4 stays (x^2)/4.
+        Inside the parentheses (bare=False) INT/INT is read as one rational.
         """
         tok = self.peek()
         if tok[0] == "-":
             self.next()
-            value, end = self.exponent()
+            value, end = self.exponent(bare)
             return -value, end
         if tok[0] == "(":
             self.next()
-            value, _ = self._paren_rational()
-            closing = self.expect(")")
-            return value, closing[2] + 1
-        num = self.expect("int")
-        return Fraction(int(num[1])), num[2] + len(num[1])
-
-    def _paren_rational(self):
-        tok = self.peek()
-        if tok[0] == "-":
-            self.next()
-            value, end = self._paren_rational()
-            return -value, end
-        if tok[0] == "(":
-            self.next()
-            value, _ = self._paren_rational()
+            value, _ = self.exponent(False)
             closing = self.expect(")")
             return value, closing[2] + 1
         num = self.expect("int")
         value = Fraction(int(num[1]))
         end = num[2] + len(num[1])
-        if self.peek()[0] == "/":
+        if not bare and self.peek()[0] == "/":
             self.next()
             den = self.expect("int")
             if int(den[1]) == 0:
@@ -275,18 +287,16 @@ def eval_expr(node, order: int) -> Series:
     if isinstance(node, Unary):
         return -eval_expr(node.operand, order)
     if isinstance(node, Binary):
-        lhs = eval_expr(node.left, order)
-        rhs = eval_expr(node.right, order)
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs - rhs
-        if node.op == "*":
-            return lhs * rhs
-        try:
-            return lhs * reciprocal(rhs)
-        except RiordanGepError as exc:
-            raise EvalError(node.right.span, str(exc)) from exc
+        # a chain a+b+...+z is a left spine as deep as it is long; walk it
+        # in a loop so that long sums and products need no recursion
+        chain = []
+        while isinstance(node, Binary):
+            chain.append(node)
+            node = node.left
+        acc = eval_expr(node, order)
+        for link in reversed(chain):
+            acc = _binary(link, acc, eval_expr(link.right, order))
+        return acc
     if isinstance(node, PowRational):
         base = eval_expr(node.base, order)
         try:
@@ -309,6 +319,19 @@ def eval_expr(node, order: int) -> Series:
         except RiordanGepError as exc:
             raise EvalError(node.span, str(exc)) from exc
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _binary(node: Binary, lhs: Series, rhs: Series) -> Series:
+    if node.op == "+":
+        return lhs + rhs
+    if node.op == "-":
+        return lhs - rhs
+    if node.op == "*":
+        return lhs * rhs
+    try:
+        return lhs * reciprocal(rhs)
+    except RiordanGepError as exc:
+        raise EvalError(node.right.span, str(exc)) from exc
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "pow": 3, "neg": 4}

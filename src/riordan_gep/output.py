@@ -1,11 +1,14 @@
 """Output documents for the CLI: exact rationals as strings, three renderers.
 
 The JSON form is {"kind": ..., "n"/"rows"/"cols" when relevant,
-"entries": [[str]]} and round-trips losslessly.
+"entries": [[str]]} and round-trips losslessly.  A VerifyReport row is
+[suite, check, "ok" | "FAIL", detail], the detail being why a check failed
+(empty when it passed or merely returned false).
 """
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +49,11 @@ class OutputDoc:
         if fmt == "json":
             return self.to_json() + "\n"
         if fmt == "csv":
-            return "".join(",".join(row) + "\n" for row in self.entries)
+            import csv  # only here, to keep it out of every command's start-up
+
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(self.entries)
+            return buf.getvalue()
         if fmt == "pretty":
             return self._pretty()
         raise ValueError(f"unknown format {fmt!r}")
@@ -57,7 +64,10 @@ class OutputDoc:
         if self.kind == "SeriesCoeffs":
             return ", ".join(self.entries[0]) + "\n"
         if self.kind == "VerifyReport":
-            lines = [f"[{row[2]}] {row[0]}: {row[1]}" for row in self.entries]
+            lines = [
+                f"[{status}] {suite}: {name}" + (f" -- {detail}" if detail else "")
+                for suite, name, status, detail in self.entries
+            ]
             bad = sum(1 for row in self.entries if row[2] != "ok")
             lines.append(f"{len(self.entries)} checks, {bad} failed")
             return "\n".join(lines) + "\n"
@@ -131,5 +141,5 @@ def matrix_doc(m: RMatrix, n: int | None = None) -> OutputDoc:
 
 
 def verify_doc(results) -> OutputDoc:
-    entries = [[r.suite, r.name, "ok" if r.ok else "FAIL"] for r in results]
+    entries = [[r.suite, r.name, "ok" if r.ok else "FAIL", r.detail] for r in results]
     return OutputDoc(kind="VerifyReport", entries=entries)

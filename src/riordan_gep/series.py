@@ -9,7 +9,7 @@ is never silently promoted.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import (
     ConstantTermNotOne,
@@ -19,10 +19,44 @@ from .errors import (
     ZeroConstantTerm,
 )
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _product(a, b, length: int) -> list:
+    """Coefficients 0..length-1 of the product of two Fraction sequences.
+
+    Kronecker substitution: each operand becomes integer numerators over one
+    common denominator, packed into one int with a byte-aligned slot per
+    coefficient, wide enough for any signed coefficient of the product.  One
+    bigint multiply does all the work; each slot is offset by half its range
+    so packing and unpacking see only nonnegative slots.  `length` is at most
+    len(a) + len(b) - 1.
+    """
+    da = lcm(*(c.denominator for c in a))
+    db = lcm(*(c.denominator for c in b))
+    na = [c.numerator * (da // c.denominator) for c in a]
+    nb = [c.numerator * (db // c.denominator) for c in b]
+    ma, mb = max(map(abs, na)), max(map(abs, nb))
+    if not ma or not mb:
+        return [_ZERO] * length
+    # |coefficient| <= min(len) * ma * mb, plus a sign bit, rounded up to bytes
+    width = (ma.bit_length() + mb.bit_length() + min(len(a), len(b)).bit_length() + 8) // 8
+    bias = 1 << (8 * width - 1)
+    bias_bytes = bias.to_bytes(width, "little")
+
+    def pack(nums):
+        slots = b"".join((v + bias).to_bytes(width, "little") for v in nums)
+        return int.from_bytes(slots, "little") - int.from_bytes(bias_bytes * len(nums), "little")
+
+    size = width * length
+    shifted = pack(na) * pack(nb) + int.from_bytes(bias_bytes * length, "little")
+    data = (shifted & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    d = da * db
+    return [
+        Fraction(int.from_bytes(data[i : i + width], "little") - bias, d)
+        for i in range(0, size, width)
+    ]
 
 
 def as_rational(value) -> Fraction:
@@ -135,23 +169,11 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, Series):
             n = min(self.order, other.order)
-            out = [_ZERO] * (n + 1)
-            for i, a in enumerate(self.coeffs[: n + 1]):
-                if a == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b != 0:
-                        out[i + j] += a * b
-            return Series(out)
+            return Series(_product(self.coeffs[: n + 1], other.coeffs[: n + 1], n + 1))
         c = as_rational(other)
         return Series([c * v for v in self.coeffs])
 
     __rmul__ = __mul__
-
-
-def mul(a: Series, b: Series) -> Series:
-    return a * b
 
 
 def compose(a: Series, g: Series) -> Series:
@@ -166,50 +188,45 @@ def compose(a: Series, g: Series) -> Series:
     return acc
 
 
+def _newton_orders(n: int):
+    """Orders 1, 3, 7, ... capped at n: each Newton step doubles the correct terms."""
+    m = 0
+    while m < n:
+        m = min(2 * m + 1, n)
+        yield m
+
+
 def reciprocal(a: Series) -> Series:
-    """Multiplicative inverse; requires a(0) != 0."""
+    """Multiplicative inverse; requires a(0) != 0.  Newton: b <- b(2 - a b)."""
     a0 = a.coeffs[0]
     if a0 == 0:
         raise ZeroConstantTerm("reciprocal needs nonzero constant term")
-    inv0 = 1 / a0
-    out = [inv0]
-    for n in range(1, a.order + 1):
-        s = _ZERO
-        for k in range(1, n + 1):
-            if a.coeffs[k] != 0:
-                s += a.coeffs[k] * out[n - k]
-        out.append(-inv0 * s)
-    return Series(out)
+    b = Series([1 / a0])
+    for m in _newton_orders(a.order):
+        b = Series(b.coeffs, order=m)
+        b = b * (2 - a.truncate(m) * b)
+    return b
 
 
 def log(a: Series) -> Series:
-    """Formal logarithm; requires a(0) = 1."""
+    """Formal logarithm; requires a(0) = 1.  The integral of a'/a."""
     if a.coeffs[0] != 1:
         raise ConstantTermNotOne("log needs constant term 1")
-    out = [_ZERO]
-    # from l'*a = a':  n*l_n = n*a_n - sum_{j<n} j*l_j*a_{n-j}
-    for n in range(1, a.order + 1):
-        s = n * a.coeffs[n]
-        for j in range(1, n):
-            if out[j] != 0 and a.coeffs[n - j] != 0:
-                s -= j * out[j] * a.coeffs[n - j]
-        out.append(s / n)
-    return Series(out)
+    if a.order == 0:
+        return Series.zero(0)
+    q = derivative(a) * reciprocal(a.truncate(a.order - 1))
+    return Series([_ZERO] + [c / k for k, c in enumerate(q.coeffs, 1)])
 
 
 def exp(a: Series) -> Series:
-    """Formal exponential; requires a(0) = 0."""
+    """Formal exponential; requires a(0) = 0.  Newton: e <- e(1 + a - log e)."""
     if a.coeffs[0] != 0:
         raise NonzeroConstantTerm("exp needs constant term 0")
-    out = [_ONE]
-    # from e' = a'*e:  n*e_n = sum_{k<=n} k*a_k*e_{n-k}
-    for n in range(1, a.order + 1):
-        s = _ZERO
-        for k in range(1, n + 1):
-            if a.coeffs[k] != 0:
-                s += k * a.coeffs[k] * out[n - k]
-        out.append(s / n)
-    return Series(out)
+    e = Series.one(0)
+    for m in _newton_orders(a.order):
+        e = Series(e.coeffs, order=m)
+        e = e * (1 + a.truncate(m) - log(e))
+    return e
 
 
 def power(a: Series, phi) -> Series:
@@ -329,16 +346,7 @@ class Poly:
             da, db = self.degree(), other.degree()
             if da < 0 or db < 0:
                 return Poly()
-            out = [_ZERO] * (da + db + 1)
-            for i in range(da + 1):
-                a = self.coeffs[i]
-                if a == 0:
-                    continue
-                for j in range(db + 1):
-                    b = other.coeffs[j]
-                    if b != 0:
-                        out[i + j] += a * b
-            return Poly(out)
+            return Poly(_product(self.coeffs[: da + 1], other.coeffs[: db + 1], da + db + 1))
         c = as_rational(other)
         return Poly([c * v for v in self.coeffs])
 
@@ -395,10 +403,6 @@ class Poly:
                 f"degree {self.degree()} polynomial does not fit in {length} slots"
             )
         return tuple(self.coeff(k) for k in range(length))
-
-
-def poly_from_vector(vec) -> Poly:
-    return Poly(vec)
 
 
 def binomial_poly(k: int, sign: int = 1) -> Poly:

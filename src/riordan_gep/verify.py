@@ -593,7 +593,7 @@ def check_json_roundtrip(rng, max_n):
         poly_doc(gep.eulerian_poly(4), n=4),
         series_doc(Series([1, 2, Fraction(1, 3)], order=4)),
         matrix_doc(gep.matrix_u(3), n=3),
-        OutputDoc(kind="VerifyReport", entries=[["gep", "demo", "ok"]]),
+        OutputDoc(kind="VerifyReport", entries=[["gep", "demo", "FAIL", "ValueError: a, \"b\""]]),
     ]
     return all(OutputDoc.from_json(d.to_json()) == d for d in docs)
 

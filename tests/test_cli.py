@@ -225,6 +225,33 @@ class TestLimitsAndUsage:
             main(["euler"])  # missing --n
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["riordan", "table", "--f", "1", "--g", "x", "--rows", "0"], "--rows"),
+            (["dirichlet", "table", "--preset", "zeta", "--rows", "0"], "--rows"),
+            (["series", "eval", "x", "--order", "-1"], "--order"),
+            (["w", "--n", "3", "--m", "two"], "--m"),
+        ],
+    )
+    def test_bad_integer_is_a_usage_error(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and f"argument {option}:" in err
+        assert "Traceback" not in err
+
+    def test_order_zero_is_allowed(self, capsys):
+        code, out, _ = run_cli(capsys, "series", "eval", "1+x", "--order", "0")
+        assert (code, out) == (0, "1\n")
+
+    def test_deep_nesting_is_a_one_line_parse_error(self, capsys):
+        text = "(" * 3000 + "x" + ")" * 3000
+        code, out, err = run_cli(capsys, "series", "eval", text, "--order", "2")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: parse error")
+
     def test_module_runs_as_script(self):
         proc = subprocess.run(
             [sys.executable, "-m", "riordan_gep", "euler", "--n", "4"],
@@ -249,3 +276,31 @@ def test_verify_reports_failures_with_nonzero_exit(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 1
     assert "FAIL" in captured.out
+
+
+def test_verify_reports_why_a_check_crashed(capsys, monkeypatch):
+    import riordan_gep.verify as verify_mod
+
+    def crashes(rng, max_n):
+        raise ZeroDivisionError("no inverse, sorry")
+
+    def passes(rng, max_n):
+        return True
+
+    registry = [("gep", "crashes", crashes), ("gep", "passes", passes)]
+    monkeypatch.setattr(verify_mod, "REGISTRY", registry, raising=True)
+    monkeypatch.setattr("riordan_gep.cli.run_suites", verify_mod.run_suites)
+    code, out, _ = run_cli(capsys, "verify", "gep")
+    assert code == 1
+    assert out.splitlines() == [
+        "[FAIL] gep: crashes -- ZeroDivisionError: no inverse, sorry",
+        "[ok] gep: passes",
+        "2 checks, 1 failed",
+    ]
+    code, out, _ = run_cli(capsys, "verify", "gep", "--format", "json")
+    assert json.loads(out)["entries"] == [
+        ["gep", "crashes", "FAIL", "ZeroDivisionError: no inverse, sorry"],
+        ["gep", "passes", "ok", ""],
+    ]
+    code, out, _ = run_cli(capsys, "verify", "gep", "--format", "csv")
+    assert out == 'gep,crashes,FAIL,"ZeroDivisionError: no inverse, sorry"\ngep,passes,ok,\n'

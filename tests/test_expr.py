@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from riordan_gep.expr import (
+    MAX_NESTING,
     Binary,
     EvalError,
     Func,
@@ -109,6 +110,34 @@ class TestEval:
             eval_expr(parse_expr("sqrt(2+x)"), 4)
         with pytest.raises(EvalError):
             eval_expr(parse_expr("rev(1+x)"), 4)
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" * 3000 + "x" + ")" * 3000,
+            "-" * 3000 + "x",
+            "exp(" * 3000 + "x" + ")" * 3000,
+            "x^" + "-" * 3000 + "2",
+            "x^" + "(" * 3000 + "1/2" + ")" * 3000,
+        ],
+    )
+    def test_deep_input_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="levels of nesting"):
+            parse_expr(text)
+
+    def test_limit_itself_evaluates(self):
+        # the outermost operand is the first level
+        deepest = "inv(" * (MAX_NESTING - 2) + "(1+x)" + ")" * (MAX_NESTING - 2)
+        assert eval_expr(parse_expr(deepest), 3) == Series([1, 1], order=3)
+        assert eval_expr(parse_expr("-" * (MAX_NESTING - 1) + "x"), 1) == Series([0, -1])
+        with pytest.raises(ParseError):
+            parse_expr("inv(" + deepest + ")")
+
+    def test_long_chains_evaluate(self):
+        assert eval_expr(parse_expr("+".join(["x"] * 3000)), 2) == Series([0, 3000], order=2)
+        assert eval_expr(parse_expr("1" + "-x" * 3000), 1) == Series([1, -3000], order=1)
 
 
 class TestRoundTrip:
