@@ -19,7 +19,7 @@ from .errors import RiordanGepError
 from .expr import EvalError, ParseError, eval_expr, parse_expr
 from .output import OutputDoc, matrix_doc, poly_doc, series_doc, verify_doc
 from .series import Series
-from .verify import SUITE_NAMES, run_suites
+from .verify import SUITE_NAMES, run_suites, w_identities, w_routes_agree
 
 DEFAULT_ORDER = 16
 
@@ -183,11 +183,13 @@ def _dispatch(args) -> OutputDoc:
 
     if args.command == "w":
         n = _check_limit(args.n, "n")
+        # the largest series w_matrix expands: for W_(n,m), and W_(n,2m) under --check
+        _check_limit((2 if args.check else 1) * args.m * n - 1, "series order")
         w = wmatrix.w_matrix(n, args.m)
         if args.check:
             sums_ok = all(s == Fraction(args.m) ** n for s in w.matrix.col_sums())
-            alt_ok = wmatrix.w_alt_form(n, args.m) == w.matrix
-            ident_ok = wmatrix.w_identities(n, args.m, 2)
+            alt_ok = w_routes_agree(w)
+            ident_ok = w_identities(n, args.m, 2)
             rows = [
                 ["w", "column sums are m^n", "ok" if sums_ok else "FAIL", ""],
                 ["w", "alternative construction agrees", "ok" if alt_ok else "FAIL", ""],

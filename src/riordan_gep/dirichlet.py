@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import LeadingCoefficientNotOne, NotPolynomial, OutOfRange
-from .gep import matrix_u, matrix_v_inv
+from .gep import matrix_u, matrix_v_inv  # noqa: F401  perfbench's tracer test pins the matrix_u alias
 from .matrix import RMatrix
 from .series import Poly, as_rational, binomial_poly
 from .stirling import bell_partial_mult, mult_decompositions
@@ -236,25 +236,14 @@ def dir_u_poly(a: DirichletSeries, n: int) -> Poly:
     return Poly(out)
 
 
-def dir_alpha_poly(a: DirichletSeries, n: int, route: str = "v") -> Poly:
-    """Numerator of row n of <a> over (1-x)^(Omega(n)+1).
-
-    route 'v': x V^-1 applied to v~_n; route 'u': x (Omega!/n!) U applied
-    to u~_n.  Both give the same polynomial.
-    """
+def dir_alpha_poly(a: DirichletSeries, n: int) -> Poly:
+    """Numerator of row n of <a> over (1-x)^(Omega(n)+1): x V^-1 applied to v~_n."""
     if n < 2:
         raise OutOfRange("rows are defined for n >= 2")
     omega = big_omega(n)
-    if route == "v":
-        v = dir_v_poly(a, n)
-        vec = tuple(v.coeff(k) for k in range(1, omega + 1))
-        return Poly(matrix_v_inv(omega).apply(vec)).shift_up(1)
-    if route == "u":
-        u = dir_u_poly(a, n)
-        vec = tuple(u.coeff(k) for k in range(1, omega + 1))
-        scaled = [c * Fraction(factorial(omega), factorial(n)) for c in matrix_u(omega).apply(vec)]
-        return Poly(scaled).shift_up(1)
-    raise OutOfRange(f"unknown route {route!r}")
+    v = dir_v_poly(a, n)
+    vec = tuple(v.coeff(k) for k in range(1, omega + 1))
+    return Poly(matrix_v_inv(omega).apply(vec)).shift_up(1)
 
 
 def dir_alpha_reversal(a: DirichletSeries, n: int) -> Poly:
@@ -272,19 +261,16 @@ def rising_factorial_poly(m: int) -> Poly:
     return acc
 
 
-def carlitz_hoggatt(r: int, p: int, m_cut: int | None = None) -> Poly:
+def carlitz_hoggatt(r: int, p: int) -> Poly:
     """The degree p*r - p + 1 numerator of sum_m C(m+p-1, p)^r x^m.
 
-    Multiplying the truncated sum by (1-x)^(p*r+1) must kill everything
-    above the stated degree; NotPolynomial flags a too-small cutoff.
+    The sum is truncated at m = 2(p*r + 1); multiplying it by
+    (1-x)^(p*r+1) must kill everything above the stated degree.
     Equals the <zeta> row numerator at n = (product of r distinct primes)^p.
     """
     if r < 1 or p < 1:
         raise OutOfRange("need r >= 1 and p >= 1")
-    if m_cut is None:
-        m_cut = 2 * (p * r + 1)
-    if m_cut < 2 * (p * r + 1):
-        raise OutOfRange(f"summation cutoff must be >= {2 * (p * r + 1)}")
+    m_cut = 2 * (p * r + 1)
     series = Poly([Fraction(comb(m + p - 1, p)) ** r for m in range(m_cut + 1)])
     prod = series * binomial_poly(p * r + 1, -1)
     deg = p * r - p + 1
@@ -292,20 +278,6 @@ def carlitz_hoggatt(r: int, p: int, m_cut: int | None = None) -> Poly:
         if prod.coeff(k) != 0:
             raise NotPolynomial(f"nonzero coefficient {k} above degree {deg}")
     return Poly([prod.coeff(k) for k in range(deg + 1)])
-
-
-def dir_palindromy_check(r: int, p: int) -> bool:
-    """Palindromy of the Carlitz-Hoggatt polynomial and its reversal identity.
-
-    Coefficients satisfy g_m = g_{p*r - p - m + 2} for 1 <= m <= p*r - p + 1,
-    equivalently x Ihat_{pr} G = x^(p-1) G.
-    """
-    g = carlitz_hoggatt(r, p)
-    deg = p * r - p + 1
-    for m in range(1, deg + 1):
-        if g.coeff(m) != g.coeff(p * r - p - m + 2):
-            return False
-    return g.reversed_to(p * r).shift_up(1) == g.shift_up(p - 1)
 
 
 def carlitz_hoggatt_at_one(r: int, p: int) -> Fraction:

@@ -354,10 +354,17 @@ def unparse(node) -> str:
         if isinstance(n, Unary):
             return "-" + wrap(n.operand, _PREC["neg"]), _PREC["neg"]
         if isinstance(n, Binary):
+            # walk the left spine of equal-precedence links in a loop, as
+            # eval_expr does, so that long chains need no recursion
             p = _PREC[n.op]
-            left = wrap(n.left, p)
-            right = wrap(n.right, p + 1)  # - and / are left associative
-            return f"{left}{n.op}{right}", p
+            chain = []
+            while isinstance(n, Binary) and _PREC[n.op] == p:
+                chain.append(n)
+                n = n.left
+            text = wrap(n, p)
+            for link in reversed(chain):
+                text += link.op + wrap(link.right, p + 1)  # - and / are left associative
+            return text, p
         if isinstance(n, PowRational):
             base = wrap(n.base, _PREC["neg"])  # bases tighter than ^ need no parens
             e = n.exponent

@@ -23,9 +23,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .errors import ConstantTermNotOne, InsufficientOrder, NotPolynomial, OutOfRange
+from .errors import ConstantTermNotOne, InsufficientOrder, OutOfRange
 from .matrix import RMatrix
-from .riordan import geometric_negative_power, row_of_pair, toeplitz_window
+from .riordan import row_of_pair
 from .series import Poly, Series, as_rational, binomial_poly, exp, reciprocal
 
 
@@ -93,44 +93,6 @@ def _alpha_from_v(v: Poly, n: int) -> Poly:
         if c != 0:
             alpha = alpha + (binomial_poly(n - m, -1) * c).shift_up(m)
     return alpha
-
-
-def u_poly(ctx: GepContext) -> Poly:
-    return ctx.u
-
-
-def v_poly(ctx: GepContext) -> Poly:
-    return ctx.v
-
-
-def alpha_poly(ctx: GepContext, verify: bool = False) -> Poly:
-    """The numerator polynomial alpha_n.
-
-    With verify=True the three independent routes (convolution over v,
-    V_n^-1 applied to v~, U_n applied to u~) and the direct row-times-
-    (1-x)^(n+1) polynomiality check must all agree.
-    """
-    if not verify:
-        return ctx.alpha
-    n = ctx.n
-    alpha = ctx.alpha
-    route_v = Poly(matrix_v_inv(n).apply(_tilde_vector(ctx.v, n))).shift_up(1)
-    route_u = Poly(matrix_u(n).apply(_tilde_vector(ctx.u, n))).shift_up(1)
-    if not (alpha == route_v == route_u):
-        raise NotPolynomial("alpha routes disagree; inconsistent context")
-    cols = 2 * n + 3
-    r = row_of_pair(Series.one(ctx.a.order), ctx.a, n, cols)
-    prod = r * binomial_poly(n + 1, -1)
-    if any(prod.coeff(k) != 0 for k in range(n + 1, cols)):
-        raise NotPolynomial(f"row {n} of (1, a) is not rational of degree <= {n}")
-    if Poly([prod.coeff(k) for k in range(n + 1)]) != alpha:
-        raise NotPolynomial("row numerator disagrees with convolution route")
-    return alpha
-
-
-def _tilde_vector(p: Poly, n: int):
-    """Coefficients 1..n of p (the column vector of p/x)."""
-    return tuple(p.coeff(k) for k in range(1, n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -212,26 +174,11 @@ def reversal(n: int, variant: str) -> RMatrix:
     raise OutOfRange(f"unknown reversal variant {variant!r}")
 
 
-def check_theorem1(n: int) -> bool:
-    """U_n . diag((-1)^p) == (-1)^(n+1) . Itilde_n . U_n, exactly."""
-    u = matrix_u(n)
-    signs = RMatrix.diagonal([(-1) ** p for p in range(n)])
-    lhs = u * signs
-    rhs = (RMatrix.anti_identity(n) * u) * ((-1) ** (n + 1))
-    return lhs == rhs
-
-
-def check_theorem2(ctx: GepContext) -> bool:
-    """alpha_n(1) == a_1^n."""
-    return ctx.alpha(1) == ctx.a.coeff(1) ** ctx.n
-
-
 def stirling_products(n: int):
-    """(V_n U_n, U_n^-1 V_n^-1), each computed two ways.
+    """(V_n U_n, U_n^-1 V_n^-1) in closed Stirling form.
 
     Column p of V_n U_n is (1/n!) sum_m m! S2(p+1,m) x^(m-1); column p of
-    U_n^-1 V_n^-1 is (n!/(p+1)!) sum_m s(p+1,m) x^(m-1).  The closed forms
-    must match the plain matrix products.
+    U_n^-1 V_n^-1 is (n!/(p+1)!) sum_m s(p+1,m) x^(m-1).
     """
     from .stirling import stirling1_signed, stirling2
 
@@ -246,41 +193,7 @@ def stirling_products(n: int):
             uv[m - 1] = scale * stirling1_signed(p + 1, m)
         vu_cols.append(vu)
         uv_cols.append(uv)
-    vu_formula = RMatrix.from_cols(vu_cols)
-    uv_formula = RMatrix.from_cols(uv_cols)
-    vu_product = matrix_v(n) * matrix_u(n)
-    uv_product = matrix_u_inv(n) * matrix_v_inv(n)
-    if vu_formula != vu_product or uv_formula != uv_product:
-        raise ArithmeticError("Stirling factorization disagrees with matrix product")
-    return vu_formula, uv_formula
-
-
-def reduce_degenerate(n: int, m: int):
-    """Degenerate-row reductions of U_n^-1 and U_n.
-
-    Returns the pair
-      (U_n^-1 . ((1-x)^m, x) I_{n-m},  ((1-x)^{-m}, x) . U_n I_{n-m})
-    as (n-m)x(n-m) matrices.  The products have m vanishing trailing rows
-    and the retained blocks equal n!/(n-m)! U_{n-m}^-1 and (n-m)!/n! U_{n-m}.
-    """
-    if not (1 <= m < n):
-        raise OutOfRange("need 1 <= m < n")
-    k = n - m
-    left = matrix_u_inv(n) * toeplitz_window(binomial_poly(m, -1), n, k)
-    if not left.block(k, n, 0, k).is_zero():
-        raise ArithmeticError("reduction of U^-1 left nonzero tail rows")
-    first = left.block(0, k, 0, k)
-    if first != matrix_u_inv(k) * Fraction(factorial(n), factorial(k)):
-        raise ArithmeticError("reduced U^-1 block has wrong value")
-
-    grow = toeplitz_window(geometric_negative_power(m, n), n, n)
-    right = grow * matrix_u(n).block(0, n, 0, k)
-    if not right.block(k, n, 0, k).is_zero():
-        raise ArithmeticError("reduction of U left nonzero tail rows")
-    second = right.block(0, k, 0, k)
-    if second != matrix_u(k) * Fraction(factorial(k), factorial(n)):
-        raise ArithmeticError("reduced U block has wrong value")
-    return first, second
+    return RMatrix.from_cols(vu_cols), RMatrix.from_cols(uv_cols)
 
 
 def convolution_numerator(k, n: int, star: bool = False) -> Poly:
@@ -301,24 +214,3 @@ def convolution_numerator(k, n: int, star: bool = False) -> Poly:
     f = reciprocal(denom)
     g = f * Series([0, 0, top], order=max(n, 2))
     return row_of_pair(f, g, n, n // 2 + 1)
-
-
-def alpha_gf_check(phi, beta, t, order: int) -> bool:
-    """Closed generating function for alpha_n(t) at a = (1 + phi x + beta x^2)^-1.
-
-    sum_n alpha_n(t) x^n must equal
-    (1 + phi(1-t) x + beta (1-t)^2 x^2) / (1 + phi x + beta (1-t) x^2)
-    through the given order.
-    """
-    phi, beta, t = as_rational(phi), as_rational(beta), as_rational(t)
-    if order < 2:
-        raise OutOfRange("order must be >= 2")
-    a = reciprocal(Series([1, phi, beta], order=2 * order + 2))
-    lhs = [Fraction(1)]
-    for n in range(1, order + 1):
-        ctx = GepContext(a.truncate(2 * n + 2), n)
-        lhs.append(ctx.alpha(t))
-    numer = Series([1, phi * (1 - t), beta * (1 - t) ** 2], order=order)
-    denom = Series([1, phi, beta * (1 - t)], order=order)
-    rhs = numer * reciprocal(denom)
-    return lhs == list(rhs.coeffs)

@@ -19,17 +19,14 @@ from math import factorial
 from .errors import DegreeTooHigh, OutOfRange, PoleAtCoefficient
 from .gep import matrix_u, matrix_u_inv, matrix_v, matrix_v_inv
 from .matrix import RMatrix
-from .riordan import geometric_negative_power, toeplitz_window
 from .series import (
     Poly,
     Series,
     as_rational,
-    binomial_poly,
     compose,
     derivative,
     log,
     power,
-    reciprocal,
     reversion,
 )
 
@@ -104,26 +101,6 @@ def lagrange_series(a: Series, beta, order: int) -> Series:
         return a
     w = Series.x(order) * power(a, -beta)
     return compose(a, reversion(w))
-
-
-def check_functional_eq(fam: LagrangeFamily) -> bool:
-    """Both functional equations of the deformed series, to fam.order.
-
-    b(x a^-beta(x)) = a(x)  and  a(x b^beta(x)) = b(x).  The deformed
-    series comes from the coefficient formula when pole-free, otherwise
-    from the compositional construction.
-    """
-    order, beta = fam.order, fam.beta
-    a = fam.a.truncate(order)
-    try:
-        b = lagrange_coeffs(fam, 1)
-    except PoleAtCoefficient:
-        b = lagrange_series(fam.a, beta, order)
-    w = Series.x(order) * power(a, -beta)
-    if compose(b, w) != a:
-        return False
-    w2 = Series.x(order) * power(b, beta)
-    return compose(a, w2) == b
 
 
 def diagonal_table(a: Series, beta, v: int, k_range, cols: int) -> RMatrix:
@@ -233,44 +210,6 @@ def abeta_apply(A: ABetaMatrix, alpha_tilde: Poly) -> Poly:
     return Poly(A.matrix.apply(alpha_tilde.to_vector(A.n)))
 
 
-def abeta_identities(n: int, beta) -> bool:
-    """Reversal inversion, unit column sums, restriction, and the top log power.
-
-    Itilde A^beta Itilde = A^-beta = (A^beta)^-1; every column of A_n^beta
-    sums to 1; conjugating by ((1-x)^m, x) restricts to A_{n-m}^{n beta/(n-m)};
-    every column of (log A_n)^(n-1) is n^(n-2) (1-x)^(n-1).
-    """
-    beta = as_rational(beta)
-    A = abeta_matrix(n, beta).matrix
-    rev = RMatrix.anti_identity(n)
-    flipped = rev * A * rev
-    if flipped != abeta_matrix(n, -beta).matrix:
-        return False
-    if flipped * A != RMatrix.identity(n):
-        return False
-    if any(s != 1 for s in A.col_sums()):
-        return False
-    for m in range(1, n):
-        k = n - m
-        shrink = toeplitz_window(binomial_poly(m, -1), n, k)
-        grow = toeplitz_window(geometric_negative_power(m, n), n, n)
-        prod = grow * (A * shrink)
-        if not prod.block(k, n, 0, k).is_zero():
-            return False
-        if prod.block(0, k, 0, k) != abeta_matrix(k, Fraction(n * beta, k)).matrix:
-            return False
-    if n >= 2:
-        top = RMatrix.identity(n)
-        gen = log_abeta(n)
-        for _ in range(n - 1):
-            top = top * gen
-        expected_col = [Fraction(n) ** (n - 2) * c for c in binomial_poly(n - 1, -1).to_vector(n)]
-        for j in range(n):
-            if list(top.column(j)) != expected_col:
-                return False
-    return True
-
-
 def gbs_alpha_closed_form(n: int, beta) -> Poly:
     """alpha_n of the deformed series of 1+x, in closed binomial form.
 
@@ -297,23 +236,3 @@ def vtilde_transform(n: int, beta, v_tilde: Poly) -> Poly:
     t = RMatrix([[rational_binomial(n * beta, j - i) for j in range(n)] for i in range(n)])
     vec = t.apply(vec)
     return Poly([c * (i + 1) for i, c in enumerate(vec)])
-
-
-def duality_check(n: int, beta) -> bool:
-    """The beta <-> 1-beta duality for the base series 1+x.
-
-    Series level: the (1-beta)-deformation equals the reciprocal of the
-    beta-deformation evaluated at -x (checked to order 2n).  Polynomial
-    level: alpha_n picks up reversal, x Ihat_n alpha_n.
-    """
-    beta = as_rational(beta)
-    order = 2 * n
-    a = Series([1, 1], order=order)
-    lhs = lagrange_series(a, 1 - beta, order)
-    rhs_base = reciprocal(lagrange_series(a, beta, order))
-    rhs = Series([c * (-1) ** i for i, c in enumerate(rhs_base.coeffs)])
-    if lhs != rhs:
-        return False
-    left_poly = gbs_alpha_closed_form(n, 1 - beta)
-    right_poly = gbs_alpha_closed_form(n, beta).reversed_to(n).shift_up(1)
-    return left_poly == right_poly

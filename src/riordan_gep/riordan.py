@@ -47,19 +47,21 @@ class RiordanArray:
         return f"RiordanArray({self.kind.value}, {self.f!r}, {self.g!r})"
 
 
+def _columns(f: Series, g: Series, cols: int) -> list:
+    """The column series f*g^k for k = 0..cols-1, one product each."""
+    out = []
+    for k in range(cols):
+        out.append(out[-1] * g if k else f)
+    return out
+
+
 def row_of_pair(f: Series, g: Series, n: int, cols: int) -> Poly:
     """Row n of the array with column gf f*g^k, for any series pair.
 
     Bypasses the RiordanArray kind checks; used for arrays whose g has
     higher valuation (still row-finite when g(0) = 0).
     """
-    acc = f
-    out = []
-    for k in range(cols):
-        out.append(acc.coeff(n))
-        if k + 1 < cols:
-            acc = acc * g
-    return Poly(out)
+    return Poly([col.coeff(n) for col in _columns(f, g, cols)])
 
 
 def entry(A: RiordanArray, n: int, k: int) -> Fraction:
@@ -84,7 +86,10 @@ def row(A: RiordanArray, n: int, cols: int) -> Poly:
 
 
 def window(A: RiordanArray, rows: int, cols: int) -> RMatrix:
-    return RMatrix([[row(A, n, cols).coeff(k) for k in range(cols)] for n in range(rows)])
+    """Rows 0..rows-1 and columns 0..cols-1, read off the column series."""
+    columns = _columns(A.f, A.g, cols)
+    M = RMatrix([[col.coeff(n) for col in columns] for n in range(rows)])
+    return exp_conjugate(M) if A.kind is RiordanKind.EXPONENTIAL else M
 
 
 def riordan_mul(A: RiordanArray, B: RiordanArray) -> RiordanArray:

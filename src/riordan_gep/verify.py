@@ -3,6 +3,10 @@
 Each check re-derives an identity with freshly generated random data (or
 fixed golden data) and compares by exact equality.  The CLI `verify`
 subcommand runs these and reports one line per check.
+
+Constructors build each object one way; every comparison with another
+route (W three ways, the Stirling factorizations, alpha through V^-1, U
+and the row numerator) and every module identity lives here.
 """
 
 from __future__ import annotations
@@ -14,8 +18,20 @@ from math import comb, factorial
 
 from . import dirichlet as ds
 from . import gep, lagrange, riordan, stirling, wmatrix
+from .errors import OutOfRange, PoleAtCoefficient
 from .matrix import RMatrix
-from .series import Poly, Series, binomial_poly, compose, exp, log, power, reciprocal, reversion
+from .series import (
+    Poly,
+    Series,
+    as_rational,
+    binomial_poly,
+    compose,
+    exp,
+    log,
+    power,
+    reciprocal,
+    reversion,
+)
 
 
 @dataclass
@@ -264,6 +280,8 @@ def check_pipeline(rng, max_n):
                 return False
             if gep.matrix_v(n).apply(at) != vt:
                 return False
+            if gep.matrix_v_inv(n).apply(vt) != at:
+                return False
     return True
 
 
@@ -274,8 +292,22 @@ def check_u_inverse(rng, max_n):
     return True
 
 
+def check_theorem1(n: int) -> bool:
+    """U_n . diag((-1)^p) == (-1)^(n+1) . Itilde_n . U_n, exactly."""
+    u = gep.matrix_u(n)
+    signs = RMatrix.diagonal([(-1) ** p for p in range(n)])
+    lhs = u * signs
+    rhs = (RMatrix.anti_identity(n) * u) * ((-1) ** (n + 1))
+    return lhs == rhs
+
+
 def check_theorem1_suite(rng, max_n):
-    return all(gep.check_theorem1(n) for n in range(1, _cap(16, max_n) + 1))
+    return all(check_theorem1(n) for n in range(1, _cap(16, max_n) + 1))
+
+
+def check_theorem2(ctx: gep.GepContext) -> bool:
+    """alpha_n(1) == a_1^n."""
+    return ctx.alpha(1) == ctx.a.coeff(1) ** ctx.n
 
 
 def check_theorem2_suite(rng, max_n):
@@ -283,7 +315,7 @@ def check_theorem2_suite(rng, max_n):
     for _ in range(20):
         n = rng.randint(1, top)
         a = _series(rng, 2 * n + 2, a0=1)
-        if not gep.check_theorem2(gep.GepContext(a, n)):
+        if not check_theorem2(gep.GepContext(a, n)):
             return False
     return True
 
@@ -316,10 +348,64 @@ def check_eulerian_specialization(rng, max_n):
 
 def check_stirling_products_suite(rng, max_n):
     for n in range(1, _cap(12, max_n) + 1):
-        vu, uv = gep.stirling_products(n)  # raises on internal disagreement
+        vu, uv = gep.stirling_products(n)
+        if vu != gep.matrix_v(n) * gep.matrix_u(n):
+            return False
+        if uv != gep.matrix_u_inv(n) * gep.matrix_v_inv(n):
+            return False
         if vu * uv != RMatrix.identity(n):
             return False
     return True
+
+
+def reduce_degenerate(n: int, m: int):
+    """Degenerate-row reductions of U_n^-1 and U_n.
+
+    Returns the pair
+      (U_n^-1 . ((1-x)^m, x) I_{n-m},  ((1-x)^{-m}, x) . U_n I_{n-m})
+    as (n-m)x(n-m) matrices.  The products have m vanishing trailing rows
+    and the retained blocks equal n!/(n-m)! U_{n-m}^-1 and (n-m)!/n! U_{n-m};
+    ArithmeticError reports the first that does not hold.
+    """
+    if not (1 <= m < n):
+        raise OutOfRange("need 1 <= m < n")
+    k = n - m
+    left = gep.matrix_u_inv(n) * riordan.toeplitz_window(binomial_poly(m, -1), n, k)
+    if not left.block(k, n, 0, k).is_zero():
+        raise ArithmeticError("reduction of U^-1 left nonzero tail rows")
+    first = left.block(0, k, 0, k)
+    if first != gep.matrix_u_inv(k) * Fraction(factorial(n), factorial(k)):
+        raise ArithmeticError("reduced U^-1 block has wrong value")
+
+    grow = riordan.toeplitz_window(riordan.geometric_negative_power(m, n), n, n)
+    right = grow * gep.matrix_u(n).block(0, n, 0, k)
+    if not right.block(k, n, 0, k).is_zero():
+        raise ArithmeticError("reduction of U left nonzero tail rows")
+    second = right.block(0, k, 0, k)
+    if second != gep.matrix_u(k) * Fraction(factorial(k), factorial(n)):
+        raise ArithmeticError("reduced U block has wrong value")
+    return first, second
+
+
+def alpha_gf_check(phi, beta, t, order: int) -> bool:
+    """Closed generating function for alpha_n(t) at a = (1 + phi x + beta x^2)^-1.
+
+    sum_n alpha_n(t) x^n must equal
+    (1 + phi(1-t) x + beta (1-t)^2 x^2) / (1 + phi x + beta (1-t) x^2)
+    through the given order.
+    """
+    phi, beta, t = as_rational(phi), as_rational(beta), as_rational(t)
+    if order < 2:
+        raise OutOfRange("order must be >= 2")
+    a = reciprocal(Series([1, phi, beta], order=2 * order + 2))
+    lhs = [Fraction(1)]
+    for n in range(1, order + 1):
+        ctx = gep.GepContext(a.truncate(2 * n + 2), n)
+        lhs.append(ctx.alpha(t))
+    numer = Series([1, phi * (1 - t), beta * (1 - t) ** 2], order=order)
+    denom = Series([1, phi, beta * (1 - t)], order=order)
+    rhs = numer * reciprocal(denom)
+    return lhs == list(rhs.coeffs)
 
 
 def check_v_action(rng, max_n):
@@ -347,21 +433,64 @@ def check_w_column_sums(rng, max_n):
     return True
 
 
+def w_routes_agree(w: wmatrix.WMatrix) -> bool:
+    """Decimation (w itself), U_n diag(m..m^n) U_n^-1 and V_n^-1 T^t V_n agree."""
+    n, m = w.n, w.m
+    scale = RMatrix.diagonal([Fraction(m) ** (p + 1) for p in range(n)])
+    by_conjugation = gep.matrix_u(n) * scale * gep.matrix_u_inv(n)
+    return w.matrix == by_conjugation == wmatrix.w_alt_form(n, m)
+
+
 def check_w_constructions(rng, max_n):
     for n in range(1, _cap(8, max_n) + 1):
         for m in range(1, 5):
-            w = wmatrix.w_matrix(n, m).matrix  # decimation vs conjugation inside
-            if wmatrix.w_alt_form(n, m) != w:
+            if not w_routes_agree(wmatrix.w_matrix(n, m)):
                 return False
     return True
+
+
+def w_identities(n: int, m: int, p: int) -> bool:
+    """Multiplicativity, reversal commutation and the Eulerian eigenvector.
+
+    W_(n,m) W_(n,p) = W_(n,mp);  W_(n,m) Itilde = Itilde W_(n,m);
+    W_(n,m) A~_n = m^n A~_n.
+    """
+    wm = wmatrix.w_matrix(n, m).matrix
+    wp = wmatrix.w_matrix(n, p).matrix
+    if wm * wp != wmatrix.w_matrix(n, m * p).matrix:
+        return False
+    rev = RMatrix.anti_identity(n)
+    if wm * rev != rev * wm:
+        return False
+    at = gep.eulerian_tilde(n).to_vector(n)
+    expected = tuple(Fraction(m) ** n * c for c in at)
+    return wm.apply(at) == expected
 
 
 def check_w_identities_suite(rng, max_n):
     for n in range(1, _cap(8, max_n) + 1):
         for m, p in ((2, 2), (2, 3), (3, 4), (4, 2)):
-            if not wmatrix.w_identities(n, m, p):
+            if not w_identities(n, m, p):
                 return False
     return True
+
+
+def w_restriction(n: int, m: int, p: int) -> bool:
+    """((1-x)^-p, x) W_(n,m) ((1-x)^p, x) I_{n-p} == W_(n-p, m).
+
+    p = 0 degenerates to W_(n,m) == W_(n,m) and returns True.
+    """
+    if p == 0:
+        return True
+    if not (1 <= p < n):
+        raise OutOfRange("need 0 <= p < n")
+    k = n - p
+    shrink = riordan.toeplitz_window(binomial_poly(p, -1), n, k)
+    grow = riordan.toeplitz_window(riordan.geometric_negative_power(p, n), n, n)
+    prod = grow * (wmatrix.w_matrix(n, m).matrix * shrink)
+    if not prod.block(k, n, 0, k).is_zero():
+        return False
+    return prod.block(0, k, 0, k) == wmatrix.w_matrix(k, m).matrix
 
 
 def check_w_gep_semantics(rng, max_n):
@@ -413,10 +542,48 @@ def check_abeta_group_law(rng, max_n):
     return True
 
 
+def abeta_identities(n: int, beta) -> bool:
+    """Reversal inversion, unit column sums, restriction, and the top log power.
+
+    Itilde A^beta Itilde = A^-beta = (A^beta)^-1; every column of A_n^beta
+    sums to 1; conjugating by ((1-x)^m, x) restricts to A_{n-m}^{n beta/(n-m)};
+    every column of (log A_n)^(n-1) is n^(n-2) (1-x)^(n-1).
+    """
+    beta = as_rational(beta)
+    A = lagrange.abeta_matrix(n, beta).matrix
+    rev = RMatrix.anti_identity(n)
+    flipped = rev * A * rev
+    if flipped != lagrange.abeta_matrix(n, -beta).matrix:
+        return False
+    if flipped * A != RMatrix.identity(n):
+        return False
+    if any(s != 1 for s in A.col_sums()):
+        return False
+    for m in range(1, n):
+        k = n - m
+        shrink = riordan.toeplitz_window(binomial_poly(m, -1), n, k)
+        grow = riordan.toeplitz_window(riordan.geometric_negative_power(m, n), n, n)
+        prod = grow * (A * shrink)
+        if not prod.block(k, n, 0, k).is_zero():
+            return False
+        if prod.block(0, k, 0, k) != lagrange.abeta_matrix(k, Fraction(n * beta, k)).matrix:
+            return False
+    if n >= 2:
+        top = RMatrix.identity(n)
+        gen = lagrange.log_abeta(n)
+        for _ in range(n - 1):
+            top = top * gen
+        expected_col = [Fraction(n) ** (n - 2) * c for c in binomial_poly(n - 1, -1).to_vector(n)]
+        for j in range(n):
+            if list(top.column(j)) != expected_col:
+                return False
+    return True
+
+
 def check_abeta_identities_suite(rng, max_n):
     for n in range(1, _cap(10, max_n) + 1):
         for beta in _BETAS:
-            if not lagrange.abeta_identities(n, beta):
+            if not abeta_identities(n, beta):
                 return False
     return True
 
@@ -435,6 +602,26 @@ def check_abeta_gep_semantics(rng, max_n):
     return True
 
 
+def check_functional_eq(fam: lagrange.LagrangeFamily) -> bool:
+    """Both functional equations of the deformed series, to fam.order.
+
+    b(x a^-beta(x)) = a(x)  and  a(x b^beta(x)) = b(x).  The deformed
+    series comes from the coefficient formula when pole-free, otherwise
+    from the compositional construction.
+    """
+    order, beta = fam.order, fam.beta
+    a = fam.a.truncate(order)
+    try:
+        b = lagrange.lagrange_coeffs(fam, 1)
+    except PoleAtCoefficient:
+        b = lagrange.lagrange_series(fam.a, beta, order)
+    w = Series.x(order) * power(a, -beta)
+    if compose(b, w) != a:
+        return False
+    w2 = Series.x(order) * power(b, beta)
+    return compose(a, w2) == b
+
+
 def check_functional_equations(rng, max_n):
     order = _cap(12, max_n + 4 if max_n else 12)
     bases = [
@@ -444,7 +631,7 @@ def check_functional_equations(rng, max_n):
     for a in bases:
         for beta in (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)):
             fam = lagrange.LagrangeFamily(a, beta, order)
-            if not lagrange.check_functional_eq(fam):
+            if not check_functional_eq(fam):
                 return False
     return True
 
@@ -488,10 +675,30 @@ def check_gbs_closed_form(rng, max_n):
     return True
 
 
+def duality_check(n: int, beta) -> bool:
+    """The beta <-> 1-beta duality for the base series 1+x.
+
+    Series level: the (1-beta)-deformation equals the reciprocal of the
+    beta-deformation evaluated at -x (checked to order 2n).  Polynomial
+    level: alpha_n picks up reversal, x Ihat_n alpha_n.
+    """
+    beta = as_rational(beta)
+    order = 2 * n
+    a = Series([1, 1], order=order)
+    lhs = lagrange.lagrange_series(a, 1 - beta, order)
+    rhs_base = reciprocal(lagrange.lagrange_series(a, beta, order))
+    rhs = Series([c * (-1) ** i for i, c in enumerate(rhs_base.coeffs)])
+    if lhs != rhs:
+        return False
+    left_poly = lagrange.gbs_alpha_closed_form(n, 1 - beta)
+    right_poly = lagrange.gbs_alpha_closed_form(n, beta).reversed_to(n).shift_up(1)
+    return left_poly == right_poly
+
+
 def check_duality(rng, max_n):
     for n in range(1, _cap(8, max_n) + 1):
         for beta in (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1)):
-            if not lagrange.duality_check(n, beta):
+            if not duality_check(n, beta):
                 return False
     return True
 
@@ -556,9 +763,29 @@ def check_dir_alpha_routes(rng, max_n):
     a = ds.DirichletSeries([1] + [_frac(rng) for _ in range(rows - 1)])
     for base in (z, a):
         for n in range(2, rows + 1):
-            if ds.dir_alpha_poly(base, n, "v") != ds.dir_alpha_poly(base, n, "u"):
+            # the u route: x (Omega!/n!) U applied to u~_n
+            omega = ds.big_omega(n)
+            u = ds.dir_u_poly(base, n)
+            ut = tuple(u.coeff(k) for k in range(1, omega + 1))
+            scale = Fraction(factorial(omega), factorial(n))
+            by_u = Poly([scale * c for c in gep.matrix_u(omega).apply(ut)]).shift_up(1)
+            if ds.dir_alpha_poly(base, n) != by_u:
                 return False
     return True
+
+
+def dir_palindromy_check(r: int, p: int) -> bool:
+    """Palindromy of the Carlitz-Hoggatt polynomial and its reversal identity.
+
+    Coefficients satisfy g_m = g_{p*r - p - m + 2} for 1 <= m <= p*r - p + 1,
+    equivalently x Ihat_{pr} G = x^(p-1) G.
+    """
+    g = ds.carlitz_hoggatt(r, p)
+    deg = p * r - p + 1
+    for m in range(1, deg + 1):
+        if g.coeff(m) != g.coeff(p * r - p - m + 2):
+            return False
+    return g.reversed_to(p * r).shift_up(1) == g.shift_up(p - 1)
 
 
 def check_carlitz_values(rng, max_n):
@@ -567,7 +794,7 @@ def check_carlitz_values(rng, max_n):
             g = ds.carlitz_hoggatt(r, p)
             if g(1) != ds.carlitz_hoggatt_at_one(r, p):
                 return False
-            if not ds.dir_palindromy_check(r, p):
+            if not dir_palindromy_check(r, p):
                 return False
     return True
 

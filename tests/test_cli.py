@@ -220,6 +220,18 @@ class TestLimitsAndUsage:
         assert code == 1
         assert "RIORDAN_GEP_MAX_ORDER" in err
 
+    def test_w_is_bounded_by_the_series_order_it_expands(self, capsys, monkeypatch):
+        monkeypatch.setenv("RIORDAN_GEP_MAX_ORDER", "10")
+        code, out, _ = run_cli(capsys, "w", "--n", "2", "--m", "5", "--format", "csv")
+        assert code == 0  # W_(2,5) expands order 9
+        assert out == "15,10\n10,15\n"
+        code, out, err = run_cli(capsys, "w", "--n", "3", "--m", "4")  # order 11
+        assert (code, out) == (1, "")
+        assert err == "error: series order 11 exceeds RIORDAN_GEP_MAX_ORDER=10\n"
+        code, _, err = run_cli(capsys, "w", "--n", "2", "--m", "3", "--check")  # W_(2,6): 11
+        assert code == 1
+        assert "series order 11" in err
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as info:
             main(["euler"])  # missing --n
@@ -260,6 +272,23 @@ class TestLimitsAndUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout == "x+11x^2+11x^3+x^4\n"
+
+
+def test_registry_rows_are_the_benchmark_pins(monkeypatch):
+    # perfbench/workloads.py pins every verify row; a renamed or reordered
+    # row fails every verify-suites job of the benchmark
+    from pathlib import Path
+
+    from riordan_gep.verify import REGISTRY
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.modules.pop("workloads", None)
+        sys.modules.pop("checks", None)
+    pinned = [(suite, label) for suite, labels in workloads.VERIFY_CHECKS.items() for label in labels]
+    assert [(suite, label) for suite, label, _ in REGISTRY] == pinned
 
 
 def test_verify_reports_failures_with_nonzero_exit(capsys, monkeypatch):

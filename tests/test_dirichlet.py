@@ -13,7 +13,6 @@ from riordan_gep.dirichlet import (
     carlitz_hoggatt_at_one,
     dir_alpha_poly,
     dir_alpha_reversal,
-    dir_palindromy_check,
     dir_u_poly,
     dir_v_poly,
     dirichlet_exp,
@@ -26,10 +25,11 @@ from riordan_gep.dirichlet import (
     rising_factorial_poly,
 )
 from riordan_gep.errors import LeadingCoefficientNotOne, OutOfRange
-from riordan_gep.gep import eulerian_poly
+from riordan_gep.gep import eulerian_poly, matrix_u
 from riordan_gep.lagrange import rational_binomial
 from riordan_gep.matrix import RMatrix
 from riordan_gep.series import Poly, binomial_poly
+from riordan_gep.verify import dir_palindromy_check
 
 
 def zeta(n):
@@ -198,7 +198,13 @@ class TestAlphaPoly:
         z = zeta(64)
         for base in (a, z):
             for n in range(2, 65):
-                assert dir_alpha_poly(base, n, "v") == dir_alpha_poly(base, n, "u")
+                # the u route: x (Omega!/n!) U applied to u~_n
+                omega = big_omega(n)
+                u = dir_u_poly(base, n)
+                ut = [u.coeff(k) for k in range(1, omega + 1)]
+                scale = F(factorial(omega), factorial(n))
+                by_u = Poly([scale * c for c in matrix_u(omega).apply(ut)]).shift_up(1)
+                assert dir_alpha_poly(base, n) == by_u
 
     def test_row_generating_function(self):
         # alpha_n / (1-x)^(Omega+1) reproduces row n of <zeta>
@@ -256,9 +262,11 @@ class TestCarlitzHoggatt:
             for r in range(1, 4):
                 assert dir_palindromy_check(r, p)
 
-    def test_cutoff_validation(self):
+    def test_rejects_nonpositive_arguments(self):
         with pytest.raises(OutOfRange):
-            carlitz_hoggatt(2, 2, 5)
+            carlitz_hoggatt(0, 2)
+        with pytest.raises(OutOfRange):
+            carlitz_hoggatt(2, 0)
 
     def test_reversal_identity_at_36(self):
         # numerator of row 36 of <zeta^-1> equals (-1)^(pr) x^(p-1) G for p=r=2

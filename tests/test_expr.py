@@ -149,5 +149,11 @@ class TestRoundTrip:
             printed = unparse(ast)
             assert parse_expr(printed) == ast, (text, printed)
 
+    @pytest.mark.parametrize("terms", [1500, 3000])
+    def test_long_chains_print(self, terms):
+        # compare text: AST equality recurses down the chain as well
+        for text in ("+".join(["x"] * terms), "1" + "-x*2/3" * terms):
+            assert unparse(parse_expr(text)) == text
+
     def test_equality_ignores_spans(self):
         assert parse_expr("1+x") == parse_expr(" 1 + x ")

@@ -8,24 +8,19 @@ import golden_data as gd
 from riordan_gep.errors import ConstantTermNotOne, InsufficientOrder, OutOfRange
 from riordan_gep.gep import (
     GepContext,
-    alpha_gf_check,
-    alpha_poly,
     convolution_numerator,
-    check_theorem1,
-    check_theorem2,
     eulerian_poly,
     matrix_u,
     matrix_u_inv,
     matrix_v,
     matrix_v_inv,
-    reduce_degenerate,
     reversal,
     stirling_products,
-    u_poly,
-    v_poly,
 )
 from riordan_gep.matrix import RMatrix
+from riordan_gep.riordan import RiordanArray, RiordanKind, row_numerator
 from riordan_gep.series import Poly, Series, binomial_poly, exp, geometric, power, reciprocal
+from riordan_gep.verify import alpha_gf_check, check_theorem1, check_theorem2, reduce_degenerate
 
 
 def moebius_ratio(order):
@@ -89,24 +84,24 @@ class TestUPoly:
             expected = Poly([1])
             for m in range(n):
                 expected = expected * Poly([-(m * m), 0, 1])
-            assert u_poly(ctx) == expected
+            assert ctx.u == expected
 
     def test_binomial_base_gives_falling_factorial(self):
         ctx = GepContext(Series([1, 1], order=8), 3)
-        assert u_poly(ctx) == Poly([0, 2, -3, 1])  # x(x-1)(x-2)
+        assert ctx.u == Poly([0, 2, -3, 1])  # x(x-1)(x-2)
 
     def test_moebius_ratio_quadratic(self):
         # interpolation oracle: u_2(m) = 2! [x^2] ((1+x)/(1-x))^m for m = 0,1,2
         a = moebius_ratio(6)
         vals = [2 * power(a, m).coeff(2) for m in range(3)]
         assert vals == [0, 4, 16]  # forces u_2(x) = 4x^2
-        assert u_poly(GepContext(a, 2)) == Poly([0, 0, 4])
+        assert GepContext(a, 2).u == Poly([0, 0, 4])
 
     def test_interpolation_property(self):
         rng = random.Random(2)
         for n in (3, 5):
             a = rand_unit_series(rng, 2 * n + 2)
-            u = u_poly(GepContext(a, n))
+            u = GepContext(a, n).u
             for m in range(n + 2):
                 assert u(m) == factorial(n) * power(a, m).coeff(n)
 
@@ -114,12 +109,12 @@ class TestUPoly:
 class TestVPoly:
     def test_moebius_ratio(self):
         ctx = GepContext(moebius_ratio(8), 3)
-        assert v_poly(ctx) == Poly([0, 2, 8, 8])  # x * 2^3 (1/2 + x)^2
+        assert ctx.v == Poly([0, 2, 8, 8])  # x * 2^3 (1/2 + x)^2
 
     def test_binomial_base(self):
         for n in (1, 3, 5):
             ctx = GepContext(Series([1, 1], order=2 * n + 2), n)
-            assert v_poly(ctx) == Poly.monomial(n)
+            assert ctx.v == Poly.monomial(n)
 
     def test_exponential_base(self):
         # row 3 of (1, e^x - 1): direct powers of e^x - 1
@@ -127,31 +122,37 @@ class TestVPoly:
         em1 = e - 1
         expected = Poly([0] + [power(em1, m).coeff(3) for m in range(1, 4)])
         assert expected == Poly([0, F(1, 6), 1, 1])
-        assert v_poly(GepContext(e, 3)) == expected
+        assert GepContext(e, 3).v == expected
 
 
 class TestAlphaPoly:
     def test_moebius_ratio_closed_form(self):
         for n in range(1, 7):
             ctx = GepContext(moebius_ratio(2 * n + 2), n)
-            assert alpha_poly(ctx) == (binomial_poly(n - 1, 1) * 2).shift_up(1)
+            assert ctx.alpha == (binomial_poly(n - 1, 1) * 2).shift_up(1)
 
     def test_geometric_base(self):
         for n in range(1, 7):
             ctx = GepContext(geometric(2 * n + 2), n)
-            assert alpha_poly(ctx) == Poly([0, 1])
+            assert ctx.alpha == Poly([0, 1])
 
     def test_hyperbolic_square_even(self):
         for k in (1, 2, 3):
             ctx = GepContext(hyperbolic_square(8 * k), 2 * k)
             expected = (Poly([1, 1]) * F(1, 2)).shift_up(k)  # x^k (1+x)/2
-            assert alpha_poly(ctx) == expected
+            assert ctx.alpha == expected
 
     def test_verify_mode_cross_checks(self):
+        # convolution over v (the constructor), V^-1 v~, U u~ and the row numerator
         rng = random.Random(7)
         for n in (2, 4, 6):
             ctx = GepContext(rand_unit_series(rng, 2 * n + 2), n)
-            assert alpha_poly(ctx, verify=True) == alpha_poly(ctx)
+            vt = tuple(ctx.v.coeff(k) for k in range(1, n + 1))
+            ut = tuple(ctx.u.coeff(k) for k in range(1, n + 1))
+            assert Poly(matrix_v_inv(n).apply(vt)).shift_up(1) == ctx.alpha
+            assert Poly(matrix_u(n).apply(ut)).shift_up(1) == ctx.alpha
+            square = RiordanArray(RiordanKind.SQUARE, Series.one(ctx.a.order), ctx.a)
+            assert row_numerator(square, n) == ctx.alpha
 
 
 class TestMatrices:
@@ -216,18 +217,18 @@ class TestTheorems:
         # A_n(1) = n! means alpha_n(1) = 1 for a = e^x
         for n in (1, 3, 5):
             ctx = GepContext(exp(Series.x(2 * n + 2)), n)
-            assert alpha_poly(ctx)(1) == 1
+            assert ctx.alpha(1) == 1
             assert check_theorem2(ctx)
 
     def test_theorem2_moebius_ratio(self):
         for n in (2, 4):
             ctx = GepContext(moebius_ratio(2 * n + 2), n)
-            assert alpha_poly(ctx)(1) == 2**n
+            assert ctx.alpha(1) == 2**n
             assert check_theorem2(ctx)
 
     def test_theorem2_degenerate_a1(self):
         ctx = GepContext(Series([1, 0, 1], order=10), 4)
-        assert alpha_poly(ctx)(1) == 0
+        assert ctx.alpha(1) == 0
         assert check_theorem2(ctx)
 
     def test_theorem2_random(self):
@@ -247,6 +248,12 @@ class TestStirlingProducts:
         for n in range(1, 13):
             vu, uv = stirling_products(n)
             assert vu * uv == RMatrix.identity(n)
+
+    def test_closed_forms_are_the_matrix_products(self):
+        for n in range(1, 13):
+            vu, uv = stirling_products(n)
+            assert vu == matrix_v(n) * matrix_u(n)
+            assert uv == matrix_u_inv(n) * matrix_v_inv(n)
 
 
 class TestReduceDegenerate:
@@ -343,7 +350,7 @@ class TestPipeline:
     def test_eulerian_specialization(self):
         for n in range(1, 9):
             ctx = GepContext(exp(Series.x(2 * n + 2)), n)
-            assert alpha_poly(ctx) * factorial(n) == eulerian_poly(n)
+            assert ctx.alpha * factorial(n) == eulerian_poly(n)
 
 
 class TestExampleOneFormulas:
@@ -352,7 +359,7 @@ class TestExampleOneFormulas:
     def test_products_of_shifted_factors(self):
         for n in range(1, 8):
             a = moebius_ratio(2 * n + 2)
-            u = u_poly(GepContext(a, n))
+            u = GepContext(a, n).u
             first = Poly()
             for p in range(n):
                 prod = Poly([1])

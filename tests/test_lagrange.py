@@ -10,12 +10,9 @@ from riordan_gep.gep import GepContext
 from riordan_gep.lagrange import (
     LagrangeFamily,
     abeta_apply,
-    abeta_identities,
     abeta_matrix,
-    check_functional_eq,
     diagonal_table,
     diagonal_table_direct,
-    duality_check,
     gbs_alpha_closed_form,
     lagrange_coeffs,
     lagrange_series,
@@ -25,6 +22,7 @@ from riordan_gep.lagrange import (
 )
 from riordan_gep.matrix import RMatrix
 from riordan_gep.series import Poly, Series, compose, geometric, power
+from riordan_gep.verify import abeta_identities, check_functional_eq, duality_check
 
 ONE_PLUS_X = lambda order: Series([1, 1], order=order)
 

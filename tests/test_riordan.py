@@ -36,6 +36,21 @@ def test_pascal_entries():
     assert window(pascal_array(), 5, 5) == gd.PASCAL5
 
 
+def test_pascal_window_at_large_size():
+    assert window(pascal_array(42), 40, 40) == pascal_power(1, 40)
+
+
+def test_exponential_window_is_conjugated_ordinary_window():
+    rng = random.Random(19)
+    f = _random_series(rng, 12, first=1)
+    g = Series([0, 1] + [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(11)])
+    ordinary = window(RiordanArray(ORD, f, g), 10, 8)
+    expo = RiordanArray(EXP, f, g)
+    got = window(expo, 10, 8)
+    assert got == exp_conjugate(ordinary)
+    assert all(got[n, k] == entry(expo, n, k) for n in range(10) for k in range(8))
+
+
 def test_square_reciprocal_shift_entries():
     arr = RiordanArray(SQ, Series.one(8), reciprocal(Series([1, 1], order=8)))
     assert entry(arr, 3, 3) == -10

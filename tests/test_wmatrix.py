@@ -5,10 +5,11 @@ import pytest
 
 import golden_data as gd
 from riordan_gep.errors import DegreeTooHigh, OutOfRange
-from riordan_gep.gep import GepContext
+from riordan_gep.gep import GepContext, matrix_u, matrix_u_inv
 from riordan_gep.matrix import RMatrix
 from riordan_gep.series import Poly, Series, binomial_poly, geometric, power
-from riordan_gep.wmatrix import w_alt_form, w_apply, w_identities, w_matrix, w_restriction
+from riordan_gep.verify import w_identities, w_restriction
+from riordan_gep.wmatrix import w_alt_form, w_apply, w_matrix
 
 
 def test_all_displayed_tables():
@@ -20,6 +21,18 @@ def test_column_sums():
     for n in range(1, 11):
         for m in range(1, 6):
             assert all(s == F(m) ** n for s in w_matrix(n, m).matrix.col_sums())
+
+
+def test_column_sums_at_large_n():
+    assert all(s == 3**40 for s in w_matrix(40, 3).matrix.col_sums())
+
+
+def test_decimation_equals_conjugation():
+    # W_(n,m) = U_n diag(m, m^2, ..., m^n) U_n^-1
+    for n in range(1, 9):
+        for m in range(1, 5):
+            scale = RMatrix.diagonal([F(m) ** (p + 1) for p in range(n)])
+            assert w_matrix(n, m).matrix == matrix_u(n) * scale * matrix_u_inv(n)
 
 
 def test_entries_are_nonnegative_integers():
