@@ -19,9 +19,10 @@ from .errors import RiordanGepError
 from .expr import EvalError, ParseError, eval_expr, parse_expr
 from .output import OutputDoc, matrix_doc, poly_doc, series_doc, verify_doc
 from .series import Series
-from .verify import SUITE_NAMES, run_suites, w_identities, w_routes_agree
 
 DEFAULT_ORDER = 16
+# verify.REGISTRY's suites in report order; verify loads only for the commands that check
+SUITE_NAMES = ("series", "riordan", "stirling", "gep", "w", "abeta", "dirichlet", "cli")
 
 
 class LimitExceeded(RiordanGepError):
@@ -173,7 +174,7 @@ def _dispatch(args) -> OutputDoc:
                 "UinvVinv": lambda k: gep.stirling_products(k)[1],
             }
             return matrix_doc(table[args.which](n), n=n)
-        ctx = gep.GepContext(_eval(args.a, 2 * n + 2), n)
+        ctx = gep.GepContext(_eval(args.a, n), n)
         poly = {"alpha": ctx.alpha, "u": ctx.u, "v": ctx.v}[args.gep_command]
         return poly_doc(poly, n=n)
 
@@ -187,6 +188,8 @@ def _dispatch(args) -> OutputDoc:
         _check_limit((2 if args.check else 1) * args.m * n - 1, "series order")
         w = wmatrix.w_matrix(n, args.m)
         if args.check:
+            from .verify import w_identities, w_routes_agree
+
             sums_ok = all(s == Fraction(args.m) ** n for s in w.matrix.col_sums())
             alt_ok = w_routes_agree(w)
             ident_ok = w_identities(n, args.m, 2)
@@ -224,6 +227,8 @@ def _dispatch(args) -> OutputDoc:
         return matrix_doc(window)
 
     if args.command == "verify":
+        from .verify import run_suites
+
         results = run_suites(args.suite, seed=args.seed, max_n=args.max_n)
         return verify_doc(results)
 

@@ -5,9 +5,9 @@ are attached:
 
   v_n(x)      row n of the square array (1, a-1); coefficient m is
               [x^n](a-1)^m.
-  u_n(x)      the unique degree-<=n polynomial with u_n(m) = n! [x^n]a^m
-              for every integer m (row n of the exponential array of
-              (1, log a)).
+  u_n(x)      row n of the exponential array (1, log a); coefficient m
+              is (n!/m!) [x^n](log a)^m, and u_n(m) = n! [x^n]a^m for
+              every integer m.
   alpha_n(x)  the numerator of row n of (1, a):
               row-gf = alpha_n(x) / (1-x)^(n+1), computed as
               alpha_n = sum_m v_{n,m} x^m (1-x)^(n-m).
@@ -26,11 +26,16 @@ from math import factorial
 from .errors import ConstantTermNotOne, InsufficientOrder, OutOfRange
 from .matrix import RMatrix
 from .riordan import row_of_pair
-from .series import Poly, Series, as_rational, binomial_poly, exp, reciprocal
+from .series import Poly, Series, as_rational, binomial_poly, exp, log, reciprocal
 
 
 class GepContext:
-    """A series a (a(0)=1, order >= 2n+2) together with its row polynomials."""
+    """A series a (a(0) = 1, order >= n) together with its row polynomials.
+
+    Only a truncated to order n is read.  v_n is row n of (1, a-1) and u_n,
+    scaled by n!/m! in coefficient m, is row n of (1, log a); both come off
+    the column loop of riordan.row_of_pair.  alpha_n is convolved from v_n.
+    """
 
     __slots__ = ("a", "n", "u", "v", "alpha")
 
@@ -39,51 +44,17 @@ class GepContext:
             raise OutOfRange("n must be positive")
         if a.coeff(0) != 1:
             raise ConstantTermNotOne("generalized Euler polynomials need a(0) = 1")
-        if a.order < 2 * n + 2:
-            raise InsufficientOrder(
-                f"order {2 * n + 2} required for n={n}, series has order {a.order}"
-            )
+        if a.order < n:
+            raise InsufficientOrder(f"order {n} required for n={n}, series has order {a.order}")
+        an = a.truncate(n)
+        one = Series.one(n)
+        fn = factorial(n)
+        u = row_of_pair(one, log(an), n, n + 1)
         self.a = a
         self.n = n
-        self.v = _v_poly(a, n)
-        self.u = _u_poly(a, n)
+        self.v = row_of_pair(one, an - 1, n, n + 1)
+        self.u = Poly([Fraction(fn, factorial(m)) * c for m, c in enumerate(u.coeffs)])
         self.alpha = _alpha_from_v(self.v, n)
-
-
-def _v_poly(a: Series, n: int) -> Poly:
-    am1 = (a - 1).truncate(n)
-    out = [Fraction(0)]
-    acc = am1
-    for _ in range(1, n + 1):
-        out.append(acc.coeff(n))
-        acc = acc * am1
-    return Poly(out)
-
-
-def _newton_interpolate(values) -> Poly:
-    """Polynomial through the points (i, values[i]) for i = 0..len-1."""
-    diffs = list(values)
-    lead = [diffs[0]]
-    for j in range(1, len(values)):
-        diffs = [(diffs[i + 1] - diffs[i]) / j for i in range(len(diffs) - 1)]
-        lead.append(diffs[0])
-    result = Poly()
-    basis = Poly([1])
-    for j, c in enumerate(lead):
-        result = result + basis * c
-        basis = basis * Poly([-j, 1])
-    return result
-
-
-def _u_poly(a: Series, n: int) -> Poly:
-    an = a.truncate(n)
-    fn = factorial(n)
-    values = [Fraction(0)]
-    acc = an
-    for _ in range(1, n + 1):
-        values.append(fn * acc.coeff(n))
-        acc = acc * an
-    return _newton_interpolate(values)
 
 
 def _alpha_from_v(v: Poly, n: int) -> Poly:
@@ -104,7 +75,7 @@ def eulerian_poly(n: int) -> Poly:
     """
     if n < 1:
         raise OutOfRange("n must be positive")
-    e = exp(Series.x(2 * n + 2))
+    e = exp(Series.x(n))
     ctx = GepContext(e, n)
     return ctx.alpha * factorial(n)
 
@@ -136,33 +107,26 @@ def matrix_u_inv(n: int) -> RMatrix:
         prod = Poly([1])
         for m in range(n):
             prod = prod * Poly([m - p, 1])
-        col = prod.shift_down(1)
-        cols.append([col.coeff(i) for i in range(n)])
+        cols.append(prod.shift_down(1).to_vector(n))
     return RMatrix.from_cols(cols)
 
 
 @lru_cache(maxsize=None)
 def matrix_v(n: int) -> RMatrix:
     """Column p holds the coefficients of (1+x)^(n-p-1) x^p."""
-    if n < 1:
-        raise OutOfRange("n must be positive")
-    cols = []
-    for p in range(n):
-        col = binomial_poly(n - p - 1, 1).shift_up(p)
-        cols.append([col.coeff(i) for i in range(n)])
-    return RMatrix.from_cols(cols)
+    return _binomial_columns(n, 1)
 
 
 @lru_cache(maxsize=None)
 def matrix_v_inv(n: int) -> RMatrix:
     """Column p holds the coefficients of (1-x)^(n-p-1) x^p."""
+    return _binomial_columns(n, -1)
+
+
+def _binomial_columns(n: int, sign: int) -> RMatrix:
     if n < 1:
         raise OutOfRange("n must be positive")
-    cols = []
-    for p in range(n):
-        col = binomial_poly(n - p - 1, -1).shift_up(p)
-        cols.append([col.coeff(i) for i in range(n)])
-    return RMatrix.from_cols(cols)
+    return RMatrix.from_cols([binomial_poly(n - p - 1, sign).shift_up(p).to_vector(n) for p in range(n)])
 
 
 def reversal(n: int, variant: str) -> RMatrix:

@@ -82,10 +82,6 @@ class OutputDoc:
         return "\n".join(lines) + "\n"
 
 
-def format_fraction(q: Fraction) -> str:
-    return str(q)
-
-
 def format_poly_strings(coeff_strings) -> str:
     coeffs = [Fraction(s) for s in coeff_strings]
     return format_poly(Poly(coeffs))
@@ -102,7 +98,7 @@ def format_poly(p: Poly) -> str:
             continue
         mag = abs(c)
         if k == 0:
-            body = format_fraction(mag)
+            body = str(mag)
         else:
             base = "x" if k == 1 else f"x^{k}"
             if mag == 1:
@@ -121,19 +117,19 @@ def format_poly(p: Poly) -> str:
 def poly_doc(p: Poly, n: int | None = None) -> OutputDoc:
     return OutputDoc(
         kind="Polynomial",
-        entries=[[format_fraction(p.coeff(k)) for k in range(max(p.degree(), 0) + 1)]],
+        entries=[[str(p.coeff(k)) for k in range(max(p.degree(), 0) + 1)]],
         n=n,
     )
 
 
 def series_doc(s: Series) -> OutputDoc:
-    return OutputDoc(kind="SeriesCoeffs", entries=[[format_fraction(c) for c in s.coeffs]])
+    return OutputDoc(kind="SeriesCoeffs", entries=[[str(c) for c in s.coeffs]])
 
 
 def matrix_doc(m: RMatrix, n: int | None = None) -> OutputDoc:
     return OutputDoc(
         kind="Matrix",
-        entries=[[format_fraction(e) for e in row] for row in m.entries],
+        entries=[[str(e) for e in row] for row in m.entries],
         n=n,
         rows=m.rows,
         cols=m.cols,

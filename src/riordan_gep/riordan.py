@@ -14,7 +14,7 @@ from math import comb, factorial
 
 from .errors import InsufficientOrder, KindMismatch, NotPolynomial
 from .matrix import RMatrix
-from .series import Poly, Series, as_rational, binomial_poly, compose
+from .series import Poly, Series, as_rational, binomial_poly, compose, power
 
 
 class RiordanKind(enum.Enum):
@@ -68,10 +68,7 @@ def entry(A: RiordanArray, n: int, k: int) -> Fraction:
     """Matrix entry (n, k); exponential arrays carry the n!/k! scaling."""
     if n < 0 or k < 0:
         raise InsufficientOrder("indices must be nonnegative")
-    acc = A.f
-    for _ in range(k):
-        acc = acc * A.g
-    c = acc.coeff(n)
+    c = (A.f * power(A.g, k)).coeff(n)
     if A.kind is RiordanKind.EXPONENTIAL:
         c = c * Fraction(factorial(n), factorial(k))
     return c

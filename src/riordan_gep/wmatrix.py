@@ -14,8 +14,8 @@ from __future__ import annotations
 from .errors import DegreeTooHigh, OutOfRange
 from .gep import matrix_u, matrix_v, matrix_v_inv  # noqa: F401  perfbench's tracer test pins the matrix_u alias
 from .matrix import RMatrix
-from .riordan import decimate
-from .series import Poly, Series, binomial_poly
+from .riordan import RiordanArray, RiordanKind, decimate, window
+from .series import Poly, Series, binomial_poly, power
 
 
 class WMatrix:
@@ -30,21 +30,13 @@ class WMatrix:
         return f"WMatrix(n={self.n}, m={self.m})"
 
 
-def _ones_power(m: int, n: int, order: int) -> Series:
-    """((1-x^m)/(1-x))^(n+1) = (1 + x + ... + x^(m-1))^(n+1), zero padded."""
-    block = Poly([1] * m)
-    acc = Poly([1])
-    for _ in range(n + 1):
-        acc = acc * block
-    return Series(acc.coeffs, order=order)
-
-
 def w_matrix(n: int, m: int) -> WMatrix:
     """Build W_(n,m) by decimation of the Toeplitz array of ((1-x^m)/(1-x))^(n+1)."""
     if n < 1 or m < 1:
         raise OutOfRange("need n >= 1 and m >= 1")
-    # decimation reads coefficients up to m*n - 1 only
-    return WMatrix(n, m, decimate(_ones_power(m, n, m * n - 1), m, n, n))
+    # ((1-x^m)/(1-x))^(n+1); decimation reads coefficients up to m*n - 1 only
+    ones = power(Series([1] * m, order=m * n - 1), n + 1)
+    return WMatrix(n, m, decimate(ones, m, n, n))
 
 
 def w_apply(W: WMatrix, alpha_tilde: Poly) -> Poly:
@@ -59,13 +51,7 @@ def w_alt_form(n: int, m: int) -> RMatrix:
     if n < 1 or m < 1:
         raise OutOfRange("need n >= 1 and m >= 1")
     a = binomial_poly(m, 1) - Poly([1])
-    b = a.shift_down(1)
-    rows = []
-    for i in range(n):
-        gf = b
-        for _ in range(i):
-            gf = gf * a
-        rows.append([gf.coeff(j) for j in range(n)])
-    # rows[i][j] = [x^j] b a^i is already the transpose of the array window
-    middle = RMatrix(rows)
-    return matrix_v_inv(n) * middle * matrix_v(n)
+    # order n >= 1 keeps g'(0) = m within reach of the kind check at n = 1
+    b = Series(a.shift_down(1).coeffs, order=n)
+    T = RiordanArray(RiordanKind.ORDINARY, b, Series(a.coeffs, order=n))
+    return matrix_v_inv(n) * window(T, n, n).transpose() * matrix_v(n)

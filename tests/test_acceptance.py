@@ -117,7 +117,7 @@ def test_criterion_4_pipeline_identities():
                 ok = False
     # restriction identity for the shift conjugation
     for n in range(2, 9):
-        ok = ok and verify.abeta_identities(n, F(1, 2))
+        ok = ok and verify.abeta_identities(n, F(1, 2)) and verify.log_abeta_top_power(n)
     # Bell-sum identities for the v/u coefficients and log
     from riordan_gep.series import log as series_log
     from riordan_gep.stirling import bell_partial

@@ -291,6 +291,34 @@ def test_registry_rows_are_the_benchmark_pins(monkeypatch):
     assert [(suite, label) for suite, label, _ in REGISTRY] == pinned
 
 
+def test_suite_names_are_the_registry_suites():
+    from riordan_gep.cli import SUITE_NAMES
+    from riordan_gep.verify import REGISTRY
+
+    suites = []
+    for suite, _, _ in REGISTRY:
+        if suite not in suites:
+            suites.append(suite)
+    assert SUITE_NAMES == tuple(suites)
+
+
+def test_plain_commands_do_not_import_verify():
+    code = (
+        "import sys\n"
+        "from riordan_gep.cli import main\n"
+        "assert main(['series', 'eval', 'x']) == 0\n"
+        "assert 'riordan_gep.verify' not in sys.modules\n"
+    )
+    import os
+    from pathlib import Path
+
+    import riordan_gep
+
+    env = dict(os.environ, PYTHONPATH=str(Path(riordan_gep.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_reports_failures_with_nonzero_exit(capsys, monkeypatch):
     import riordan_gep.verify as verify_mod
 
@@ -300,7 +328,6 @@ def test_verify_reports_failures_with_nonzero_exit(capsys, monkeypatch):
     monkeypatch.setattr(
         verify_mod, "REGISTRY", [("gep", "always fails", broken)], raising=True
     )
-    monkeypatch.setattr("riordan_gep.cli.run_suites", verify_mod.run_suites)
     code = main(["verify", "gep"])
     captured = capsys.readouterr()
     assert code == 1
@@ -318,7 +345,6 @@ def test_verify_reports_why_a_check_crashed(capsys, monkeypatch):
 
     registry = [("gep", "crashes", crashes), ("gep", "passes", passes)]
     monkeypatch.setattr(verify_mod, "REGISTRY", registry, raising=True)
-    monkeypatch.setattr("riordan_gep.cli.run_suites", verify_mod.run_suites)
     code, out, _ = run_cli(capsys, "verify", "gep")
     assert code == 1
     assert out.splitlines() == [

@@ -67,8 +67,27 @@ class TestEulerian:
 
 class TestContext:
     def test_order_requirement(self):
-        with pytest.raises(InsufficientOrder):
-            GepContext(Series([1, 1], order=5), 3)
+        # u, v and alpha read coefficients up to x^n only
+        with pytest.raises(InsufficientOrder, match="order 3 required"):
+            GepContext(Series([1, 1], order=2), 3)
+        GepContext(Series([1, 1], order=3), 3)
+
+    def test_order_n_gives_the_same_polynomials_as_order_2n_plus_2(self):
+        rng = random.Random(41)
+        for n in range(1, 13):
+            for a1 in (None, 0):
+                a = rand_unit_series(rng, 2 * n + 2, a1=a1)
+                short, long = GepContext(a.truncate(n), n), GepContext(a, n)
+                assert (short.u, short.v, short.alpha) == (long.u, long.v, long.alpha)
+
+    def test_u_interpolates_powers_of_a(self):
+        # u_n(m) = n! [x^n] a^m, also at negative m and past n
+        rng = random.Random(43)
+        for n in range(1, 9):
+            a = rand_unit_series(rng, n, a1=0 if n % 2 else None)
+            u = GepContext(a, n).u
+            for m in range(-3, n + 4):
+                assert u(m) == factorial(n) * power(a, m).coeff(n)
 
     def test_unit_constant_requirement(self):
         with pytest.raises(ConstantTermNotOne):

@@ -22,7 +22,7 @@ from riordan_gep.lagrange import (
 )
 from riordan_gep.matrix import RMatrix
 from riordan_gep.series import Poly, Series, compose, geometric, power
-from riordan_gep.verify import abeta_identities, check_functional_eq, duality_check
+from riordan_gep.verify import abeta_identities, check_functional_eq, duality_check, log_abeta_top_power
 
 ONE_PLUS_X = lambda order: Series([1, 1], order=order)
 
@@ -203,6 +203,7 @@ class TestABetaMatrix:
         for n in range(1, 11):
             for beta in (1, -1, 2, -2, F(1, 2), F(-1, 2), F(1, 3)):
                 assert abeta_identities(n, beta)
+            assert log_abeta_top_power(n)
 
 
 class TestABetaApply:

@@ -51,6 +51,18 @@ def test_exponential_window_is_conjugated_ordinary_window():
     assert all(got[n, k] == entry(expo, n, k) for n in range(10) for k in range(8))
 
 
+def test_entry_is_the_window_entry_for_wide_columns():
+    rng = random.Random(23)
+    f = _random_series(rng, 34, first=1)
+    g = Series([0, 1] + [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(33)])
+    for kind in (ORD, EXP):
+        A = RiordanArray(kind, f, g)
+        W = window(A, 35, 31)
+        for k in range(31):
+            for n in (0, k, k + 1, 34):
+                assert entry(A, n, k) == W[n, k]
+
+
 def test_square_reciprocal_shift_entries():
     arr = RiordanArray(SQ, Series.one(8), reciprocal(Series([1, 1], order=8)))
     assert entry(arr, 3, 3) == -10

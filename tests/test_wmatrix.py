@@ -60,6 +60,11 @@ def test_identities_and_commutation():
             assert w_identities(n, m, p)
 
 
+def test_alt_form_at_n_one():
+    for m in (1, 2, 3, 7):
+        assert w_alt_form(1, m) == w_matrix(1, m).matrix
+
+
 def test_restriction_examples():
     assert w_restriction(3, 2, 1)
     assert w_restriction(3, 2, 2)
