@@ -10,44 +10,16 @@ lives over (1-x)^(Omega(n)+1).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .errors import LeadingCoefficientNotOne, NotPolynomial, OutOfRange
 from .gep import matrix_u, matrix_v_inv  # noqa: F401  perfbench's tracer test pins the matrix_u alias
 from .matrix import RMatrix
 from .series import Poly, as_rational, binomial_poly
+from .stirling import big_omega, divisors, factorize  # noqa: F401  sieve-backed, re-exported
 from .stirling import bell_partial_mult, mult_decompositions
 
-
-def factorize(n: int) -> dict:
-    """Prime factorization as {prime: exponent}."""
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def big_omega(n: int) -> int:
-    """Number of prime factors with multiplicity; the degree v(n) of v_n."""
-    return sum(factorize(n).values())
-
-
-def divisors(n: int):
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+_ZERO = Fraction(0)
 
 
 class DirichletSeries:
@@ -99,53 +71,84 @@ class DirichletSeries:
         return DirichletSeries([self.coeffs[i] - other.coeffs[i] for i in range(n)])
 
 
+def _numerators(coeffs):
+    """(integer numerators, d) with coeffs[i] = numerators[i] / d, d the lcm of the denominators."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
 def dirichlet_mul(a: DirichletSeries, b: DirichletSeries) -> DirichletSeries:
-    """Divisor convolution: coefficient n is sum over d|n of a_d b_{n/d}."""
+    """Divisor convolution: coefficient n is sum over d|n of a_d b_{n/d}.
+
+    Both operands become integer numerators over their common denominators
+    da, db; the numerators are convolved over i*j <= N as integers, and each
+    output is one Fraction over da*db (zeros share one Fraction object).
+    """
     n_max = min(a.n_max, b.n_max)
-    out = [Fraction(0)] * n_max
-    for i in range(1, n_max + 1):
-        ai = a.coeffs[i - 1]
-        if ai == 0:
-            continue
-        for j in range(1, n_max // i + 1):
-            bj = b.coeffs[j - 1]
-            if bj != 0:
-                out[i * j - 1] += ai * bj
-    return DirichletSeries(out)
+    na, da = _numerators(a.coeffs[:n_max])
+    nb, db = _numerators(b.coeffs[:n_max])
+    out = [0] * (n_max + 1)  # out[n] is the numerator of coefficient n
+    for i, x in enumerate(na, 1):
+        if x:
+            out[i::i] = [v + x * y for v, y in zip(out[i::i], nb)]
+    d = da * db
+    return DirichletSeries([Fraction(v, d) if v else _ZERO for v in out[1:]])
 
 
 def dirichlet_inv(a: DirichletSeries) -> DirichletSeries:
-    """Convolution inverse; requires a_1 = 1."""
+    """Convolution inverse; requires a_1 = 1.
+
+    With a_d = A_d / D over the common denominator D, the inverse is
+    b_n = N_n / D^Omega(n) with N_1 = 1 and the integer recurrence
+    N_n = -sum_{d|n, d>1} A_d D^(Omega(d)-1) N_{n/d}.  It runs forward: once
+    N_m is final it is pushed to every multiple m*d, so only Omega is needed.
+    """
     if a.coeff(1) != 1:
         raise LeadingCoefficientNotOne("inverse needs a_1 = 1")
     n_max = a.n_max
-    out = [Fraction(1)] + [Fraction(0)] * (n_max - 1)
-    for n in range(2, n_max + 1):
-        s = Fraction(0)
-        for d in divisors(n):
-            if d > 1:
-                s += a.coeffs[d - 1] * out[n // d - 1]
-        out[n - 1] = -s
-    return DirichletSeries(out)
+    nums, den = _numerators(a.coeffs)
+    omega = [big_omega(n) for n in range(n_max + 1)]
+    powers = [den**k for k in range(max(omega) + 1)]
+    # A_d D^(Omega(d)-1) for d = 2..N
+    weights = [nums[d - 1] * powers[omega[d] - 1] for d in range(2, n_max + 1)]
+    out = [0, 1] + [0] * (n_max - 1)
+    for m in range(1, n_max // 2 + 1):
+        x = out[m]
+        if x:
+            out[2 * m :: m] = [v - w * x for v, w in zip(out[2 * m :: m], weights)]
+    return DirichletSeries(
+        [Fraction(v, powers[omega[n]]) if v else _ZERO for n, v in enumerate(out) if n]
+    )
 
 
-def _exp_term(log_coeffs, n: int) -> Fraction:
-    """sum over decompositions of n into factors >= 2 of prod L_p^{m_p}/m_p!.
+def _exp_term(coeffs, n: int) -> Fraction:
+    """sum over decompositions of n into factors >= 2 of prod c_p^{m_p}/m_p!.
 
-    This is sum_k (L^k)_n / k! for a series L with L_1 = 0.
+    This is sum_k (c^k)_n / k! for a series c with c_1 = 0.  The c_d with
+    d | n are written as integers A_d over their common denominator D; the
+    decompositions into k factors then add up to the integer
+    S_k = sum k!/prod m_p! prod A_p^{m_p}, and the result is the one
+    Fraction sum_k S_k / (k! D^k).
     """
-    total = Fraction(0)
-    for m in range(1, big_omega(n) + 1):
-        for decomp in mult_decompositions(n, m):
-            term = Fraction(1)
+    factors = divisors(n)[1:]
+    nums, den = _numerators([coeffs[d - 1] for d in factors])
+    num = dict(zip(factors, nums))
+    top = big_omega(n)
+    total = 0  # over top! D^top
+    for k in range(1, top + 1):
+        s = 0
+        for decomp in mult_decompositions(n, k):
+            weight, prod = factorial(k), 1
             for factor, mult in decomp.items():
-                c = log_coeffs[factor - 1]
-                if c == 0:
-                    term = Fraction(0)
+                x = num[factor]
+                if not x:
                     break
-                term *= c**mult / factorial(mult)
-            total += term
-    return total
+                weight //= factorial(mult)
+                prod *= x**mult
+            else:
+                s += weight * prod
+        total += s * (factorial(top) // factorial(k)) * den ** (top - k)
+    return Fraction(total, factorial(top) * den**top) if total else _ZERO
 
 
 def dirichlet_log(a: DirichletSeries) -> DirichletSeries:

@@ -48,10 +48,15 @@ class RiordanArray:
 
 
 def _columns(f: Series, g: Series, cols: int) -> list:
-    """The column series f*g^k for k = 0..cols-1, one product each."""
+    """The column series f*g^k for k = 0..cols-1, one product each (none for f*g when f = 1)."""
     out = []
     for k in range(cols):
-        out.append(out[-1] * g if k else f)
+        if not k:
+            out.append(f)
+        elif k == 1 and f.coeffs[0] == 1 and not any(f.coeffs[1:]):
+            out.append(g.truncate(min(f.order, g.order)))
+        else:
+            out.append(out[-1] * g)
     return out
 
 

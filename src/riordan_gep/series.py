@@ -241,11 +241,12 @@ def power(a: Series, phi) -> Series:
         e = int(phi)
         if e < 0:
             return power(reciprocal(a), -e)
-        result = Series.one(a.order)
-        base = a
+        if not e:
+            return Series.one(a.order)
+        result, base = None, a
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base

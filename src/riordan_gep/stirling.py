@@ -1,4 +1,4 @@
-"""Stirling numbers, partition enumeration and partial Bell sums.
+"""Stirling numbers, the factor sieve, partition enumeration and partial Bell sums.
 
 The Bell sums here use the plain multiplicity normalization
     B_{n,m}(a) = sum m!/(m_1! ... m_n!) * a_1^{m_1} ... a_n^{m_n}
@@ -9,7 +9,7 @@ decompositions into factors >= 2); there is no a_i/i! weighting.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 
 from .errors import OutOfRange
 from .series import as_rational
@@ -48,6 +48,57 @@ def stirling1_signed(n: int, k: int) -> int:
         raise OutOfRange(f"stirling1 needs 0 <= k <= n, got ({n}, {k})")
     _grow(_s1, False, n)
     return _s1[n][k]
+
+
+# growable sieve: _spf[n] is the smallest prime factor of n (n itself for
+# n < 2) and _omega[n] = Omega(n), for 0 <= n < len(_spf)
+_spf = [0, 1]
+_omega = [0, 0]
+
+
+def _grow_sieve(n):
+    global _spf, _omega
+    if n < len(_spf):
+        return
+    size = max(n + 1, 2 * len(_spf))
+    spf = list(range(size))
+    # descending, so the smallest divisor p with p*p <= k writes spf[k] last
+    for p in range(isqrt(size - 1), 1, -1):
+        spf[p * p :: p] = [p] * len(range(p * p, size, p))
+    omega = [0] * size
+    for k in range(2, size):
+        omega[k] = omega[k // spf[k]] + 1
+    _spf, _omega = spf, omega
+
+
+def factorize(n: int) -> dict:
+    """Prime factorization as {prime: exponent}, primes ascending."""
+    _grow_sieve(n)
+    spf, out = _spf, {}
+    while n > 1:
+        p = spf[n]
+        out[p] = out.get(p, 0) + 1
+        n //= p
+    return out
+
+
+def big_omega(n: int) -> int:
+    """Number of prime factors with multiplicity; 0 for n < 2."""
+    if n < 2:
+        return 0
+    _grow_sieve(n)
+    return _omega[n]
+
+
+def divisors(n: int) -> list:
+    """Divisors of n in ascending order, built from its factorization."""
+    if n < 1:
+        return []
+    out = [1]
+    for p, e in factorize(n).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    out.sort()
+    return out
 
 
 class StirlingTable:
@@ -93,28 +144,49 @@ def additive_partitions(n: int, m: int):
 
 
 def mult_decompositions(n: int, m: int):
-    """All decompositions of n into exactly m factors >= 2, as {factor: multiplicity}."""
-    if n < 2 or m < 1:
+    """All decompositions of n into exactly m factors >= 2, as {factor: multiplicity}.
+
+    Factors never increase along a decomposition: the list runs through the
+    largest first factor first, and so on down, and each dict lists its
+    factors in decreasing order.  The search walks divisors only: n's are
+    built once from its factorization, each level keeps those of the rest
+    that are at most the factor just taken, a branch is cut when the rest
+    has fewer than parts_left - 1 prime factors (or exceeds f^(parts_left-1)),
+    and the last factor is the rest itself.
+    """
+    if n < 2 or m < 1 or big_omega(n) < m:
         return []
+    if m == 1:
+        return [{n: 1}]
+    omega = _omega
     out = []
+    acc = {}
 
-    def rec(remaining, parts_left, max_factor, acc):
-        if parts_left == 0:
-            if remaining == 1:
+    def rec(remaining, parts_left, cands):
+        # cands: the divisors >= 2 of `remaining` up to the last factor, ascending
+        for i in range(len(cands) - 1, -1, -1):
+            f = cands[i]
+            rest = remaining // f
+            if rest > f ** (parts_left - 1):
+                break
+            if omega[rest] < parts_left - 1:
+                continue
+            acc[f] = acc.get(f, 0) + 1
+            if parts_left == 2:
+                acc[rest] = acc.get(rest, 0) + 1
                 out.append(dict(acc))
-            return
-        f = min(max_factor, remaining)
-        while f >= 2:
-            if remaining % f == 0:
-                acc[f] = acc.get(f, 0) + 1
-                rec(remaining // f, parts_left - 1, f, acc)
-                if acc[f] == 1:
-                    del acc[f]
+                if acc[rest] == 1:
+                    del acc[rest]
                 else:
-                    acc[f] -= 1
-            f -= 1
+                    acc[rest] -= 1
+            else:
+                rec(rest, parts_left - 1, [d for d in cands[: i + 1] if rest % d == 0])
+            if acc[f] == 1:
+                del acc[f]
+            else:
+                acc[f] -= 1
 
-    rec(n, m, n, {})
+    rec(n, m, divisors(n)[1:])
     return out
 
 

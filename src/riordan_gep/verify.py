@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from . import dirichlet as ds
@@ -562,21 +563,27 @@ def abeta_identities(n: int, beta) -> bool:
     Itilde A^beta Itilde = A^-beta = (A^beta)^-1; every column of A_n^beta
     sums to 1; conjugating by ((1-x)^m, x) restricts to A_{n-m}^{n beta/(n-m)}.
     """
-    beta = as_rational(beta)
-    A = lagrange.abeta_matrix(n, beta).matrix
+    n_beta = n * as_rational(beta)
+    A = _abeta_scaled(n, n_beta)
     rev = RMatrix.anti_identity(n)
     flipped = rev * A * rev
-    if flipped != lagrange.abeta_matrix(n, -beta).matrix:
+    if flipped != _abeta_scaled(n, -n_beta):
         return False
     if flipped * A != RMatrix.identity(n):
         return False
     if any(s != 1 for s in A.col_sums()):
         return False
     for m in range(1, n):
-        k = n - m
-        if _restrict(A, m) != lagrange.abeta_matrix(k, Fraction(n * beta, k)).matrix:
+        if _restrict(A, m) != _abeta_scaled(n - m, n_beta):
             return False
     return True
+
+
+@lru_cache(maxsize=512)
+def _abeta_scaled(k: int, k_beta: Fraction) -> RMatrix:
+    """A_k^(k_beta / k).  Keyed by k*beta, so the restriction targets of every
+    (n, beta) with the same n*beta are built once."""
+    return lagrange.abeta_matrix(k, k_beta / k).matrix
 
 
 def log_abeta_top_power(n: int) -> bool:

@@ -291,6 +291,36 @@ def test_registry_rows_are_the_benchmark_pins(monkeypatch):
     assert [(suite, label) for suite, label, _ in REGISTRY] == pinned
 
 
+def test_every_pinned_span_is_called(monkeypatch, tmp_path):
+    # perfbench/workloads.py names the spans each workload must call; a traced
+    # benchmark run that misses one ends "correct: false" with a coverage failure
+    import random
+    from functools import partial
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import run
+        import workloads
+    finally:
+        for name in ("run", "job", "workloads", "checks"):
+            sys.modules.pop(name, None)
+    monkeypatch.setattr(run, "RESULTS", str(tmp_path))
+    small = {  # the job sizes of perfbench/tests
+        "series-large": partial(workloads.series_jobs, sizes={
+            "product": 12, "power": 10, "explog": 10, "rev": 8, "lagrange": 8, "alpha": 6, "tiny": 4}),
+        "dirichlet-large": partial(workloads.dirichlet_jobs, sizes={
+            "zeta": (60, 4), "zeta-inv": (60, 4), "zeta-log": (60, 3), "roundtrip": 40}),
+        "verify-suites": partial(workloads.verify_jobs, max_n=3),
+    }
+    assert set(small) == set(workloads.WORKLOADS)
+    for name, build in small.items():
+        result = run.run_pass(build(random.Random(f"{name}:0")), traced=True)
+        assert result.failures == []
+        calls = run.layer_metrics(result)[1]
+        assert [span for span in workloads.WORKLOADS[name].spans if not calls[span]] == [], name
+
+
 def test_suite_names_are_the_registry_suites():
     from riordan_gep.cli import SUITE_NAMES
     from riordan_gep.verify import REGISTRY

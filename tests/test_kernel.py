@@ -1,19 +1,37 @@
-"""The integer product kernel against the schoolbook algorithms it replaced.
+"""The exact integer kernels against the algorithms they replaced.
 
 The reference functions below are the Fraction double loop and the O(n^2)
 recurrences that Series.__mul__, Poly.__mul__, reciprocal, log and exp used
-before the Kronecker product and Newton iteration; every comparison is
-exact equality.
+before the Kronecker product and Newton iteration; the Fraction divisor
+convolution, divisor-sum inverse and decomposition sums, the trial-division
+factorizations and the linear-scan decomposition enumeration that the
+Dirichlet layer used before its common-denominator kernel and sieve; and
+the integer power and column loop that started from a product by 1.  Every
+comparison is exact equality.
 """
 
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riordan_gep.series import Poly, Series, exp, log, reciprocal
+from riordan_gep import series
+from riordan_gep.dirichlet import (
+    DirichletSeries,
+    big_omega,
+    dirichlet_exp,
+    dirichlet_inv,
+    dirichlet_log,
+    dirichlet_mul,
+    divisors,
+    factorize,
+)
+from riordan_gep.riordan import _columns
+from riordan_gep.series import Poly, Series, exp, log, power, reciprocal
+from riordan_gep.stirling import mult_decompositions
 
 # ---------------------------------------------------------------- references
 
@@ -227,3 +245,235 @@ class TestNewton:
         assert reciprocal(Series([a0] + cs)) == ref_reciprocal(Series([a0] + cs))
         assert log(Series([1] + cs)) == ref_log(Series([1] + cs))
         assert exp(Series([0] + cs)) == ref_exp(Series([0] + cs))
+
+
+# ---------------------------------------------------------------- products by one
+
+
+def ref_power(a: Series, e: int) -> Series:
+    result = Series.one(a.order)
+    base = a
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
+def ref_columns(f: Series, g: Series, cols: int) -> list:
+    out = []
+    for k in range(cols):
+        out.append(out[-1] * g if k else f)
+    return out
+
+
+class TestProductsByOne:
+    @pytest.mark.parametrize("order", [0, 1, 2, 5, 17, 40])
+    def test_integer_power(self, order):
+        rng = random.Random(f"power:{order}")
+        a = rand_series(rng, order, bits=20, den_bits=20)
+        for e in range(9):
+            got = power(a, e)
+            assert got == ref_power(a, e) and got.order == a.order
+        unit = rand_series(rng, order, a0=F(-3, 2))
+        assert power(unit, -3) == ref_power(reciprocal(unit), 3)
+
+    @pytest.mark.parametrize("f_order, g_order", [(0, 0), (3, 3), (2, 9), (9, 2), (12, 30), (30, 12)])
+    def test_columns(self, f_order, g_order):
+        rng = random.Random(f"columns:{f_order}:{g_order}")
+        g = rand_series(rng, g_order, a0=0)
+        for f in (Series.one(f_order), rand_series(rng, f_order), Series([1, 0, 5], order=f_order)):
+            got, want = _columns(f, g, 5), ref_columns(f, g, 5)
+            assert got == want
+            assert [c.order for c in got] == [c.order for c in want]
+        assert _columns(Series.one(f_order), g, 0) == []
+
+    def test_no_product_by_one(self, monkeypatch):
+        calls = []
+        product = series._product
+        monkeypatch.setattr(series, "_product", lambda *args: calls.append(1) or product(*args))
+        g = Series([0, 1, F(2, 3)], order=6)
+        power(g, 1)
+        _columns(Series.one(4), g, 2)
+        assert calls == []
+        power(g, 3)
+        assert len(calls) == 2
+
+
+# ---------------------------------------------------------------- Dirichlet
+
+
+def ref_factorize(n: int) -> dict:
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def ref_divisors(n: int) -> list:
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def ref_mult_decompositions(n: int, m: int) -> list:
+    if n < 2 or m < 1:
+        return []
+    out = []
+
+    def rec(remaining, parts_left, max_factor, acc):
+        if parts_left == 0:
+            if remaining == 1:
+                out.append(dict(acc))
+            return
+        f = min(max_factor, remaining)
+        while f >= 2:
+            if remaining % f == 0:
+                acc[f] = acc.get(f, 0) + 1
+                rec(remaining // f, parts_left - 1, f, acc)
+                if acc[f] == 1:
+                    del acc[f]
+                else:
+                    acc[f] -= 1
+            f -= 1
+
+    rec(n, m, n, {})
+    return out
+
+
+def ref_dirichlet_mul(a: DirichletSeries, b: DirichletSeries) -> DirichletSeries:
+    n_max = min(a.n_max, b.n_max)
+    out = [F(0)] * n_max
+    for i in range(1, n_max + 1):
+        ai = a.coeffs[i - 1]
+        if ai == 0:
+            continue
+        for j in range(1, n_max // i + 1):
+            bj = b.coeffs[j - 1]
+            if bj != 0:
+                out[i * j - 1] += ai * bj
+    return DirichletSeries(out)
+
+
+def ref_dirichlet_inv(a: DirichletSeries) -> DirichletSeries:
+    out = [F(1)] + [F(0)] * (a.n_max - 1)
+    for n in range(2, a.n_max + 1):
+        s = F(0)
+        for d in ref_divisors(n):
+            if d > 1:
+                s += a.coeffs[d - 1] * out[n // d - 1]
+        out[n - 1] = -s
+    return DirichletSeries(out)
+
+
+def ref_exp_term(coeffs, n: int) -> F:
+    total = F(0)
+    for m in range(1, sum(ref_factorize(n).values()) + 1):
+        for decomp in ref_mult_decompositions(n, m):
+            term = F(1)
+            for factor, mult in decomp.items():
+                term *= coeffs[factor - 1] ** mult / factorial(mult)
+            total += term
+    return total
+
+
+def ref_dirichlet_log(a: DirichletSeries) -> DirichletSeries:
+    out = [F(0)] * a.n_max
+    for n in range(2, a.n_max + 1):
+        out[n - 1] = a.coeffs[n - 1] - ref_exp_term(out, n)
+    return DirichletSeries(out)
+
+
+def ref_dirichlet_exp(a: DirichletSeries) -> DirichletSeries:
+    return DirichletSeries([F(1)] + [ref_exp_term(a.coeffs, n) for n in range(2, a.n_max + 1)])
+
+
+def rand_dirichlet(rng, n, a1, dens):
+    """a_1 = a1, then about 30% zeros and signed 24-bit numerators over `dens()`."""
+    cs = [F(0) if rng.random() < 0.3 else F(rng.randint(-(2**24), 2**24), dens()) for _ in range(n)]
+    cs[0] = F(a1)
+    return DirichletSeries(cs)
+
+
+def denominators(rng, n):
+    """Independent wide denominators while n is small; past that, wide ones
+    drawn from a pool of four, whose lcm (and so the common denominator) stays
+    at 256 bits instead of growing with n."""
+    if n <= 40:
+        return lambda: rng.randint(2**60, 2**64)
+    pool = [rng.randint(2**60, 2**64) for _ in range(4)] + [1, 2, 3]
+    return lambda: rng.choice(pool)
+
+
+DIRICHLET_SIZES = [1, 2, 3, 4, 5, 8, 13, 30, 40, 64, 128, 300, 600]
+
+
+class TestDirichlet:
+    @pytest.mark.parametrize("n", DIRICHLET_SIZES)
+    def test_mul_and_inverse(self, n):
+        rng = random.Random(f"dirichlet:{n}")
+        dens = denominators(rng, n)
+        a, b = rand_dirichlet(rng, n, 1, dens), rand_dirichlet(rng, n, F(-7, 3), dens)
+        assert dirichlet_mul(a, b) == ref_dirichlet_mul(a, b)
+        assert dirichlet_mul(b, b) == ref_dirichlet_mul(b, b)
+        assert dirichlet_inv(a) == ref_dirichlet_inv(a)
+        small = rand_dirichlet(rng, n, 1, lambda: rng.randint(1, 3))
+        assert dirichlet_inv(small) == ref_dirichlet_inv(small)
+        assert dirichlet_mul(a, small) == ref_dirichlet_mul(a, small)
+
+    def test_unequal_lengths_zeros_and_zeta(self):
+        rng = random.Random(8)
+        a = rand_dirichlet(rng, 50, 2, lambda: rng.randint(1, 9))
+        b = rand_dirichlet(rng, 31, 0, lambda: rng.randint(1, 9))
+        assert dirichlet_mul(a, b) == ref_dirichlet_mul(a, b) == dirichlet_mul(b, a)
+        zero = DirichletSeries([0] * 20)
+        assert dirichlet_mul(a, zero) == zero == ref_dirichlet_mul(zero, a)
+        z = DirichletSeries.zeta(600)
+        assert dirichlet_inv(z) == ref_dirichlet_inv(z)
+        assert dirichlet_mul(z, z) == ref_dirichlet_mul(z, z)
+
+    def test_zero_outputs_share_one_object(self):
+        mu = dirichlet_inv(DirichletSeries.zeta(40))
+        zeros = {id(c) for c in mu.coeffs if c == 0}
+        prod = dirichlet_mul(DirichletSeries.one(40), DirichletSeries.one(40))
+        zeros |= {id(c) for c in prod.coeffs if c == 0}
+        assert len(zeros) == 1
+        assert all(type(c) is F for c in mu.coeffs + prod.coeffs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 13, 40, 150, 300])
+    def test_log_and_exp(self, n):
+        rng = random.Random(f"dirichlet-log:{n}")
+        dens = denominators(rng, n) if n <= 40 else (lambda: rng.randint(1, 9))
+        a = rand_dirichlet(rng, n, 1, dens)
+        assert dirichlet_log(a) == ref_dirichlet_log(a)
+        nil = rand_dirichlet(rng, n, 0, dens)
+        assert dirichlet_exp(nil) == ref_dirichlet_exp(nil)
+
+    def test_sieve_against_trial_division(self):
+        for n in list(range(-2, 3000)) + [4096, 9973, 10007, 65536, 2**5 * 3**4 * 7**2]:
+            assert factorize(n) == ref_factorize(n)
+            assert list(factorize(n)) == list(ref_factorize(n))
+            assert divisors(n) == ref_divisors(n)
+            assert big_omega(n) == sum(ref_factorize(n).values())
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 700), (700, 1200), (1200, 1501)])
+    def test_decompositions_in_order(self, lo, hi):
+        for n in range(lo, hi):
+            for m in range(13):
+                got, want = mult_decompositions(n, m), ref_mult_decompositions(n, m)
+                assert got == want
+                assert [list(d) for d in got] == [list(d) for d in want]
