@@ -26,7 +26,7 @@ from math import factorial
 from .errors import ConstantTermNotOne, InsufficientOrder, OutOfRange
 from .matrix import RMatrix
 from .riordan import row_of_pair
-from .series import Poly, Series, as_rational, binomial_poly, exp, log, reciprocal
+from .series import Poly, Series, as_rational, binomial_poly, log, reciprocal
 
 
 class GepContext:
@@ -66,18 +66,28 @@ def _alpha_from_v(v: Poly, n: int) -> Poly:
     return alpha
 
 
+def _eulerian_rows(n: int):
+    """Integer coefficient lists of A_1, ..., A_n, by A(m, k) = k A(m-1, k) + (m-k+1) A(m-1, k-1)."""
+    row = [0, 1]
+    yield row
+    for m in range(2, n + 1):
+        row = [k * a + (m - k + 1) * b for k, a, b in zip(range(m + 1), row + [0], [0] + row)]
+        yield row
+
+
 @lru_cache(maxsize=None)
 def eulerian_poly(n: int) -> Poly:
     """A_n(x) with A_n(x)/(1-x)^(n+1) = sum_m m^n x^m; A_n(1) = n!.
 
-    Computed through the generalized pipeline at a = e^x, where
-    alpha_n = A_n / n!.
+    Built by the Eulerian recurrence A(n, k) = k A(n-1, k) + (n-k+1) A(n-1, k-1)
+    over the integers; the verify row "Eulerian specialization at e^x" checks
+    that it is n! alpha_n for a = e^x.
     """
     if n < 1:
         raise OutOfRange("n must be positive")
-    e = exp(Series.x(n))
-    ctx = GepContext(e, n)
-    return ctx.alpha * factorial(n)
+    for row in _eulerian_rows(n):
+        pass
+    return Poly(row)
 
 
 def eulerian_tilde(n: int) -> Poly:
@@ -86,13 +96,16 @@ def eulerian_tilde(n: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def matrix_u(n: int) -> RMatrix:
-    """Column p holds the coefficients of (1-x)^(n-1-p) A~_{p+1}(x) / n!."""
+    """Column p holds the coefficients of (1-x)^(n-1-p) A~_{p+1}(x) / n!.
+
+    A~_1, ..., A~_n come off one pass of the Eulerian recurrence.
+    """
     if n < 1:
         raise OutOfRange("n must be positive")
     fn = factorial(n)
     cols = []
-    for p in range(n):
-        col = binomial_poly(n - 1 - p, -1) * eulerian_tilde(p + 1)
+    for p, row in enumerate(_eulerian_rows(n)):
+        col = binomial_poly(n - 1 - p, -1) * Poly(row[1:])
         cols.append([col.coeff(i) / fn for i in range(n)])
     return RMatrix.from_cols(cols)
 

@@ -1,17 +1,32 @@
 """Dense exact-rational matrices.
 
-Sizes stay small (a few dozen rows at most), so everything is a plain dense
-tuple-of-tuples of Fractions with straightforward O(n^3) products.
+A matrix is a dense tuple-of-tuples of Fractions.  Products and apply run
+on integers: each row of the left factor and each column of the right
+factor (or the vector) become integer numerators over their lcm
+denominator, so entry (i, j) is one integer dot product and one Fraction
+built from it over d_i e_j.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .series import as_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _over_lcm(values):
+    """Integer numerators of a Fraction sequence over its lcm denominator, and that lcm."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _dot(num, d, other_num, e):
+    s = sum(map(int.__mul__, num, other_num))
+    return Fraction(s, d * e) if s else _ZERO
 
 
 class RMatrix:
@@ -27,6 +42,13 @@ class RMatrix:
         self.entries = rows
         self.rows = len(rows)
         self.cols = width
+
+    @classmethod
+    def _of(cls, rows):
+        """Wrap a tuple of equal-length tuples of Fractions as they are."""
+        m = cls.__new__(cls)
+        m.entries, m.rows, m.cols = rows, len(rows), len(rows[0])
+        return m
 
     @classmethod
     def identity(cls, n):
@@ -70,9 +92,6 @@ class RMatrix:
         i, j = idx
         return self.entries[i][j]
 
-    def row(self, i):
-        return self.entries[i]
-
     def column(self, j):
         return tuple(self.entries[i][j] for i in range(self.rows))
 
@@ -85,12 +104,12 @@ class RMatrix:
                 raise ValueError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            ot = other.transpose().entries
-            return RMatrix(
-                [
-                    [sum(a * b for a, b in zip(row, col)) for col in ot]
-                    for row in self.entries
-                ]
+            cols = [_over_lcm(col) for col in zip(*other.entries)]
+            return RMatrix._of(
+                tuple(
+                    tuple(_dot(num, d, cnum, e) for cnum, e in cols)
+                    for num, d in map(_over_lcm, self.entries)
+                )
             )
         c = as_rational(other)
         return RMatrix([[c * e for e in row] for row in self.entries])
@@ -115,7 +134,8 @@ class RMatrix:
         vec = [as_rational(v) for v in vec]
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
+        vnum, e = _over_lcm(vec)
+        return tuple(_dot(num, d, vnum, e) for num, d in map(_over_lcm, self.entries))
 
     def col_sums(self):
         return tuple(sum(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols))

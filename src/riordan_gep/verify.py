@@ -339,7 +339,8 @@ def check_reversal_identity(rng, max_n):
 
 
 def check_eulerian_specialization(rng, max_n):
-    # direct formula: [x^j] A_n = sum_i (-1)^i C(n+1, i) (j-i)^n
+    # A_n from the recurrence = n! alpha_n at a = e^x = the direct formula
+    # [x^j] A_n = sum_i (-1)^i C(n+1, i) (j-i)^n
     for n in range(1, _cap(10, max_n) + 1):
         direct = Poly(
             [
@@ -347,7 +348,8 @@ def check_eulerian_specialization(rng, max_n):
                 for j in range(n + 1)
             ]
         )
-        if gep.eulerian_poly(n) != direct:
+        a = gep.eulerian_poly(n)
+        if a != direct or gep.GepContext(exp(Series.x(n)), n).alpha * factorial(n) != a:
             return False
     return True
 

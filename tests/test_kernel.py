@@ -5,20 +5,21 @@ recurrences that Series.__mul__, Poly.__mul__, reciprocal, log and exp used
 before the Kronecker product and Newton iteration; the Fraction divisor
 convolution, divisor-sum inverse and decomposition sums, the trial-division
 factorizations and the linear-scan decomposition enumeration that the
-Dirichlet layer used before its common-denominator kernel and sieve; and
-the integer power and column loop that started from a product by 1.  Every
-comparison is exact equality.
+Dirichlet layer used before its common-denominator kernel and sieve; the
+integer power and column loop that started from a product by 1; and the
+Fraction dot products of RMatrix.__mul__ and apply before their
+common-denominator kernel.  Every comparison is exact equality.
 """
 
 import random
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riordan_gep import series
+from riordan_gep import gep, series
 from riordan_gep.dirichlet import (
     DirichletSeries,
     big_omega,
@@ -29,6 +30,7 @@ from riordan_gep.dirichlet import (
     divisors,
     factorize,
 )
+from riordan_gep.matrix import RMatrix
 from riordan_gep.riordan import _columns
 from riordan_gep.series import Poly, Series, exp, log, power, reciprocal
 from riordan_gep.stirling import mult_decompositions
@@ -477,3 +479,112 @@ class TestDirichlet:
                 got, want = mult_decompositions(n, m), ref_mult_decompositions(n, m)
                 assert got == want
                 assert [list(d) for d in got] == [list(d) for d in want]
+
+
+# ---------------------------------------------------------------- matrices
+
+
+def ref_matmul(a: RMatrix, b: RMatrix) -> RMatrix:
+    ot = b.transpose().entries
+    return RMatrix([[sum(x * y for x, y in zip(row, col)) for col in ot] for row in a.entries])
+
+
+def ref_apply(a: RMatrix, vec) -> tuple:
+    return tuple(sum(x * y for x, y in zip(row, vec)) for row in a.entries)
+
+
+def rand_entries(rng, rows, cols, integer=False):
+    """About 30% zeros, signed 64-bit numerators over 60-64-bit denominators
+    (or over 1 when `integer`)."""
+    def entry():
+        if rng.random() < 0.3:
+            return F(0)
+        return F(rng.randint(-(2**64), 2**64), 1 if integer else rng.randint(2**60, 2**64))
+
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def all_fractions(values):
+    return all(type(e) is F for e in values)
+
+
+MATRIX_SHAPES = [(1, 1, 1), (1, 7, 1), (7, 1, 7), (1, 1, 9), (9, 1, 1), (1, 12, 12), (12, 12, 1),
+                 (3, 5, 2), (5, 2, 8), (8, 8, 8), (12, 12, 12)]
+
+
+class TestMatrix:
+    @pytest.mark.parametrize("r, k, c", MATRIX_SHAPES)
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_mul_and_apply(self, r, k, c, integer):
+        rng = random.Random(f"matrix:{r}:{k}:{c}:{integer}")
+        for _ in range(4):
+            a = RMatrix(rand_entries(rng, r, k, integer))
+            b = RMatrix(rand_entries(rng, k, c, integer))
+            prod = a * b
+            assert prod == ref_matmul(a, b)
+            assert all_fractions(e for row in prod.entries for e in row)
+            vec = rand_entries(rng, 1, k, integer)[0]
+            out = a.apply(vec)
+            assert out == ref_apply(a, vec) and type(out) is tuple and all_fractions(out)
+            assert a.apply([int(v) for v in vec]) == ref_apply(a, [F(int(v)) for v in vec])
+
+    def test_zero_rows_columns_and_mixed_denominators(self):
+        rng = random.Random(12)
+        for _ in range(10):
+            ea, eb = rand_entries(rng, 6, 5), rand_entries(rng, 5, 4, integer=True)
+            ea[rng.randrange(6)] = [F(0)] * 5
+            for row in eb:
+                row[rng.randrange(4)] = F(0)
+            j = rng.randrange(4)
+            for row in eb:
+                row[j] = F(0)
+            a, b = RMatrix(ea), RMatrix(eb)
+            prod = a * b
+            assert prod == ref_matmul(a, b) and all_fractions(e for row in prod.entries for e in row)
+            assert a.apply([F(0)] * 5) == ref_apply(a, [F(0)] * 5)
+        zero = RMatrix([[0] * 3] * 2) * RMatrix([[0] * 4] * 3)
+        assert zero.is_zero() and len({id(e) for row in zero.entries for e in row}) == 1
+
+    def test_shape_errors_and_scalar_products(self):
+        a = RMatrix(rand_entries(random.Random(3), 3, 4))
+        with pytest.raises(ValueError):
+            a * a
+        with pytest.raises(ValueError):
+            a.apply([1, 2, 3])
+        assert F(2, 3) * a == a * F(2, 3) == RMatrix([[F(2, 3) * e for e in row] for row in a.entries])
+
+    def test_transform_matrices(self):
+        for n in (1, 2, 5, 16, 24):
+            u, ui, v, vi = gep.matrix_u(n), gep.matrix_u_inv(n), gep.matrix_v(n), gep.matrix_v_inv(n)
+            assert u * ui == ref_matmul(u, ui) == RMatrix.identity(n)
+            assert v * u == ref_matmul(v, u)
+            assert ui * vi == ref_matmul(ui, vi)
+            alpha = gep.eulerian_tilde(n).to_vector(n)
+            assert u.apply(alpha) == ref_apply(u, alpha)
+
+
+# ---------------------------------------------------------------- Eulerian
+
+
+def eulerian_by_formula(n: int) -> Poly:
+    return Poly([sum((-1) ** i * comb(n + 1, i) * (j - i) ** n for i in range(j + 1)) for j in range(n + 1)])
+
+
+class TestEulerian:
+    def test_recurrence_is_the_pipeline(self):
+        for n in range(1, 31):
+            assert gep.eulerian_poly(n) == gep.GepContext(exp(Series.x(n)), n).alpha * factorial(n)
+
+    def test_recurrence_is_the_alternating_sum(self):
+        for n in range(1, 61):
+            assert gep.eulerian_poly(n) == eulerian_by_formula(n)
+
+    def test_matrix_u_columns_are_the_eulerian_columns(self):
+        # the construction matrix_u used before: one eulerian_poly per column
+        for n in (1, 2, 7, 20):
+            fn = factorial(n)
+            cols = []
+            for p in range(n):
+                col = series.binomial_poly(n - 1 - p, -1) * eulerian_by_formula(p + 1).shift_down(1)
+                cols.append([col.coeff(i) / fn for i in range(n)])
+            assert gep.matrix_u(n) == RMatrix.from_cols(cols)
