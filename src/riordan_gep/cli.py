@@ -4,6 +4,13 @@ Exit codes: 0 success, 1 domain error (bad series for the requested
 operation, pole, order cap exceeded), 2 usage error.  Output formats:
 pretty (default), csv, json.  The environment variable
 RIORDAN_GEP_MAX_ORDER (default 4096) bounds every requested order/size.
+Output numbers have no digit cap: main lifts Python's int-to-str limit
+while it renders, and only then.
+
+Start-up pays only for what a command runs: this module imports argparse,
+the errors, series/matrix and the renderers, and each _dispatch branch
+imports the domain modules it uses (expr only where an expression is
+parsed, verify only for `verify` and `w --check`).
 """
 
 from __future__ import annotations
@@ -12,11 +19,9 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 
-from . import dirichlet as ds
-from . import gep, lagrange, riordan, wmatrix
-from .errors import RiordanGepError
-from .expr import EvalError, ParseError, eval_expr, parse_expr
+from .errors import EvalError, ParseError, RiordanGepError
 from .output import OutputDoc, matrix_doc, poly_doc, series_doc, verify_doc
 from .series import Series
 
@@ -66,8 +71,9 @@ _nonnegative = _int_at_least(0)
 
 
 def _eval(expr_text: str, order: int) -> Series:
-    ast = parse_expr(expr_text)
-    return eval_expr(ast, order)
+    from .expr import eval_expr, parse_expr
+
+    return eval_expr(parse_expr(expr_text), order)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,12 +151,16 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _dispatch(args) -> OutputDoc:
+def _dispatch(args):
+    """Compute what args ask for; return a function of no arguments that
+    builds the OutputDoc.  Each branch imports the modules it runs."""
     if args.command == "series":
         order = _check_limit(args.order, "order")
-        return series_doc(_eval(args.expr, order))
+        return partial(series_doc, _eval(args.expr, order))
 
     if args.command == "riordan":
+        from . import riordan
+
         rows = _check_limit(args.rows, "rows")
         cols = _check_limit(args.cols, "cols")
         order = max(rows, cols) + 2
@@ -160,9 +170,11 @@ def _dispatch(args) -> OutputDoc:
             "exp": riordan.RiordanKind.EXPONENTIAL,
         }[args.kind]
         arr = riordan.RiordanArray(kind, _eval(args.f, order), _eval(args.g, order))
-        return matrix_doc(riordan.window(arr, rows, cols))
+        return partial(matrix_doc, riordan.window(arr, rows, cols))
 
     if args.command == "gep":
+        from . import gep
+
         n = _check_limit(args.n, "n")
         if args.gep_command == "matrix":
             table = {
@@ -173,20 +185,24 @@ def _dispatch(args) -> OutputDoc:
                 "VU": lambda k: gep.stirling_products(k)[0],
                 "UinvVinv": lambda k: gep.stirling_products(k)[1],
             }
-            return matrix_doc(table[args.which](n), n=n)
+            return partial(matrix_doc, table[args.which](n), n=n)
         ctx = gep.GepContext(_eval(args.a, n), n)
         poly = {"alpha": ctx.alpha, "u": ctx.u, "v": ctx.v}[args.gep_command]
-        return poly_doc(poly, n=n)
+        return partial(poly_doc, poly, n=n)
 
     if args.command == "euler":
+        from .gep import eulerian_poly
+
         n = _check_limit(args.n, "n")
-        return poly_doc(gep.eulerian_poly(n), n=n)
+        return partial(poly_doc, eulerian_poly(n), n=n)
 
     if args.command == "w":
+        from .wmatrix import w_matrix
+
         n = _check_limit(args.n, "n")
         # the largest series w_matrix expands: for W_(n,m), and W_(n,2m) under --check
         _check_limit((2 if args.check else 1) * args.m * n - 1, "series order")
-        w = wmatrix.w_matrix(n, args.m)
+        w = w_matrix(n, args.m)
         if args.check:
             from .verify import w_identities, w_routes_agree
 
@@ -198,23 +214,28 @@ def _dispatch(args) -> OutputDoc:
                 ["w", "alternative construction agrees", "ok" if alt_ok else "FAIL", ""],
                 ["w", "multiplicativity/reversal/eigenvector", "ok" if ident_ok else "FAIL", ""],
             ]
-            return OutputDoc(kind="VerifyReport", entries=rows)
-        return matrix_doc(w.matrix, n=n)
+            return partial(OutputDoc, "VerifyReport", rows)
+        return partial(matrix_doc, w.matrix, n=n)
 
     if args.command == "abeta":
+        from .lagrange import abeta_matrix
+
         n = _check_limit(args.n, "n")
-        mat = lagrange.abeta_matrix(n, args.beta, args.construction)
-        return matrix_doc(mat.matrix, n=n)
+        return partial(matrix_doc, abeta_matrix(n, args.beta, args.construction).matrix, n=n)
 
     if args.command == "lagrange":
+        from . import lagrange
+
         order = _check_limit(args.order, "order")
         a = _eval(args.a, order)
         fam = lagrange.LagrangeFamily(a, args.beta, order)
-        return series_doc(lagrange.lagrange_coeffs(fam, args.phi))
+        return partial(series_doc, lagrange.lagrange_coeffs(fam, args.phi))
 
     if args.command == "dirichlet":
+        from . import dirichlet as ds
+
         if args.dirichlet_command == "g":
-            return poly_doc(ds.carlitz_hoggatt(args.r, args.p))
+            return partial(poly_doc, ds.carlitz_hoggatt(args.r, args.p))
         rows = _check_limit(args.rows, "rows")
         cols = _check_limit(args.cols, "cols")
         z = ds.DirichletSeries.zeta(rows)
@@ -224,13 +245,12 @@ def _dispatch(args) -> OutputDoc:
             window = ds.array_window(ds.dirichlet_inv(z), "plain", rows, cols)
         else:
             window = ds.array_window(z, "log", rows, cols)
-        return matrix_doc(window)
+        return partial(matrix_doc, window)
 
     if args.command == "verify":
         from .verify import run_suites
 
-        results = run_suites(args.suite, seed=args.seed, max_n=args.max_n)
-        return verify_doc(results)
+        return partial(verify_doc, run_suites(args.suite, seed=args.seed, max_n=args.max_n))
 
     raise AssertionError(f"unhandled command {args.command!r}")
 
@@ -239,11 +259,23 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc = _dispatch(args)
+        to_doc = _dispatch(args)
     except (RiordanGepError, ParseError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(doc.render(args.format))
+    # exact output has no size cap: lift Python's int-to-str digit limit
+    # (0 = none, as before 3.10.7) while rendering only, then restore it
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        doc = to_doc()
+        del to_doc  # the computed value can be as large as the output: free it first
+        text = doc.render(args.format)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    sys.stdout.write(text)
     if args.command == "verify" and any(row[2] != "ok" for row in doc.entries):
         return 1
     return 0

@@ -23,69 +23,75 @@ division, which makes 3/4 evaluate to the constant 3/4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import RiordanGepError
+from .errors import EvalError, ParseError, RiordanGepError
 from .series import Series, compose, exp, log, power, reciprocal, reversion
 
-Span = tuple
+
+class _Node:
+    """An immutable AST node: the positional fields in `_fields`, then `span`.
+
+    Equality compares the class and the fields, and hash the fields; neither
+    reads the span.
+    """
+
+    __slots__ = ("span",)
+    _fields = ()
+
+    def __init__(self, *values, span=(0, 0)):
+        if len(values) == len(self._fields) + 1:  # span given positionally
+            *values, span = values
+        elif len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {', '.join(self._fields + ('span',))}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "span", span)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        parts = [f"{name}={value!r}" for name, value in zip(self._fields, self._values())]
+        return f"{type(self).__name__}({', '.join(parts + [f'span={self.span!r}'])})"
 
 
-class ParseError(ValueError):
-    def __init__(self, position: int, expected: str, found: str = ""):
-        self.position = position
-        self.expected = expected
-        self.found = found
-        what = f", found {found}" if found else ""
-        super().__init__(f"parse error at offset {position}: expected {expected}{what}")
+class Lit(_Node):
+    __slots__ = _fields = ("value",)  # value: Fraction
 
 
-class EvalError(ValueError):
-    def __init__(self, span: Span, reason: str):
-        self.span = span
-        self.reason = reason
-        super().__init__(f"error in expression at offsets {span[0]}..{span[1]}: {reason}")
+class Var(_Node):
+    __slots__ = _fields = ()
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction
-    span: Span = field(default=(0, 0), compare=False)
+class Unary(_Node):
+    __slots__ = _fields = ("op", "operand")  # op: 'neg'
 
 
-@dataclass(frozen=True)
-class Var:
-    span: Span = field(default=(0, 0), compare=False)
+class Binary(_Node):
+    __slots__ = _fields = ("op", "left", "right")  # op: '+', '-', '*', '/'
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str  # 'neg'
-    operand: object
-    span: Span = field(default=(0, 0), compare=False)
+class PowRational(_Node):
+    __slots__ = _fields = ("base", "exponent")  # exponent: Fraction
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str  # '+', '-', '*', '/'
-    left: object
-    right: object
-    span: Span = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class PowRational:
-    base: object
-    exponent: Fraction
-    span: Span = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class Func:
-    name: str  # 'exp', 'log', 'inv', 'rev', 'sqrt', 'compose'
-    args: tuple
-    span: Span = field(default=(0, 0), compare=False)
+class Func(_Node):
+    __slots__ = _fields = ("name", "args")  # name: 'exp', 'log', 'inv', 'rev', 'sqrt', 'compose'; args: tuple
 
 
 _FUNCS1 = ("exp", "log", "inv", "rev", "sqrt")
@@ -261,9 +267,7 @@ class _Parser:
 
 
 def _respan(node, span):
-    import dataclasses
-
-    return dataclasses.replace(node, span=span)
+    return type(node)(*node._values(), span=span)
 
 
 def parse_expr(text: str):

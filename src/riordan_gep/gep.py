@@ -112,16 +112,37 @@ def matrix_u(n: int) -> RMatrix:
 
 @lru_cache(maxsize=None)
 def matrix_u_inv(n: int) -> RMatrix:
-    """Column p holds the coefficients of (1/x) * prod_{m=0}^{n-1}(x - p + m)."""
+    """Column p holds the coefficients of (1/x) * prod_{m=0}^{n-1}(x - p + m).
+
+    Column 0 is (x+1)(x+2)...(x+n-1); column p+1 is column p times
+    (x-p-1) / (x-p+n-1), one integer multiplication and one exact synthetic
+    division per column.
+    """
     if n < 1:
         raise OutOfRange("n must be positive")
-    cols = []
-    for p in range(n):
-        prod = Poly([1])
-        for m in range(n):
-            prod = prod * Poly([m - p, 1])
-        cols.append(prod.shift_down(1).to_vector(n))
+    col = [1]
+    for j in range(1, n):
+        col = _times_linear(col, j)
+    cols = [col]
+    for p in range(n - 1):
+        col = _over_linear(_times_linear(col, -p - 1), n - 1 - p)
+        cols.append(col)
     return RMatrix.from_cols(cols)
+
+
+def _times_linear(c, b):
+    """Coefficients (lowest first) of c(x) * (x + b)."""
+    return [b * ck + below for ck, below in zip(c + [0], [0] + c)]
+
+
+def _over_linear(c, b):
+    """Coefficients of c(x) / (x + b), which must divide it exactly."""
+    q = [0] * (len(c) - 1)
+    carry = 0
+    for k in range(len(c) - 1, 0, -1):
+        carry = c[k] - b * carry
+        q[k - 1] = carry
+    return q
 
 
 @lru_cache(maxsize=None)

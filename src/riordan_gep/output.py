@@ -10,20 +10,33 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrix import RMatrix
 from .series import Poly, Series
 
 
-@dataclass
 class OutputDoc:
-    kind: str  # Polynomial | SeriesCoeffs | Matrix | VerifyReport
-    entries: list
-    n: int | None = None
-    rows: int | None = None
-    cols: int | None = None
+    __slots__ = ("kind", "entries", "n", "rows", "cols")
+
+    def __init__(self, kind: str, entries: list, n: int | None = None, rows: int | None = None,
+                 cols: int | None = None):
+        self.kind = kind  # Polynomial | SeriesCoeffs | Matrix | VerifyReport
+        self.entries = entries
+        self.n = n
+        self.rows = rows
+        self.cols = cols
+
+    def _fields(self):
+        return (self.kind, self.entries, self.n, self.rows, self.cols)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return "OutputDoc(kind={!r}, entries={!r}, n={!r}, rows={!r}, cols={!r})".format(*self._fields())
 
     def to_json(self) -> str:
         payload = {"kind": self.kind}

@@ -12,7 +12,6 @@ and the row numerator) and every module identity lives here.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -35,12 +34,17 @@ from .series import (
 )
 
 
-@dataclass
 class CheckResult:
-    suite: str
-    name: str
-    ok: bool
-    detail: str = ""
+    __slots__ = ("suite", "name", "ok", "detail")
+
+    def __init__(self, suite: str, name: str, ok: bool, detail: str = ""):
+        self.suite = suite
+        self.name = name
+        self.ok = ok
+        self.detail = detail
+
+    def __repr__(self):
+        return f"CheckResult({self.suite!r}, {self.name!r}, ok={self.ok!r}, detail={self.detail!r})"
 
 
 def _frac(rng, lo=-5, hi=5, den=4):

@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from riordan_gep.cli import main
 from riordan_gep.output import OutputDoc
@@ -332,21 +334,85 @@ def test_suite_names_are_the_registry_suites():
     assert SUITE_NAMES == tuple(suites)
 
 
-def test_plain_commands_do_not_import_verify():
-    code = (
-        "import sys\n"
-        "from riordan_gep.cli import main\n"
-        "assert main(['series', 'eval', 'x']) == 0\n"
-        "assert 'riordan_gep.verify' not in sys.modules\n"
-    )
+# Runs argv (or, for [], only build_parser()) in a fresh interpreter and prints
+# [exit code, stdout, loaded modules] as one JSON line.
+IMPORT_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+from riordan_gep.cli import build_parser, main
+argv, out, code = json.loads(sys.argv[1]), io.StringIO(), 0
+if argv:
+    with redirect_stdout(out):
+        code = main(argv)
+else:
+    build_parser()
+print(json.dumps([code, out.getvalue(), sorted(sys.modules)]))
+"""
+
+DOMAIN = ("dirichlet", "gep", "lagrange", "riordan", "stirling", "wmatrix", "verify")
+
+
+def _run_fresh(*args):
+    """Run a fresh interpreter with these arguments on this checkout's package."""
     import os
     from pathlib import Path
 
     import riordan_gep
 
     env = dict(os.environ, PYTHONPATH=str(Path(riordan_gep.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _loaded_by(argv):
+    proc = _run_fresh("-c", IMPORT_PROBE, json.dumps(argv))
     assert proc.returncode == 0, proc.stderr
+    code, out, modules = json.loads(proc.stdout)
+    return code, out, {m.removeprefix("riordan_gep.") for m in modules}
+
+
+def test_plain_commands_do_not_import_verify(capsys):
+    # each command loads only the modules it runs, and never dataclasses
+    # (which pulls in inspect); a fresh interpreter prints what it printed here
+    cases = [
+        ([], DOMAIN + ("expr",)),
+        (["series", "eval", "x/(1-x)"], DOMAIN),
+        (["dirichlet", "table", "--preset", "zeta-log", "--rows", "8"], ("expr", "verify", "lagrange", "wmatrix")),
+        (["dirichlet", "g", "--p", "2", "--r", "2"], ("expr", "verify")),
+        (["euler", "--n", "5"], ("expr", "verify", "dirichlet", "lagrange", "stirling", "wmatrix")),
+        (["gep", "matrix", "U", "--n", "4"], ("expr", "verify", "dirichlet", "lagrange", "wmatrix")),
+        (["gep", "alpha", "--a", "exp(x)", "--n", "4"], ("verify", "dirichlet", "lagrange", "wmatrix")),
+        (["riordan", "table", "--f", "exp(x)", "--g", "x", "--kind", "exp", "--rows", "4"],
+         ("verify", "dirichlet", "gep", "lagrange", "stirling", "wmatrix")),
+        (["abeta", "--n", "4", "--beta", "1/2"], ("expr", "verify", "dirichlet", "wmatrix")),
+        (["w", "--n", "3", "--m", "2"], ("expr", "verify", "dirichlet", "lagrange")),
+        (["lagrange", "--a", "1+x", "--beta", "1/2", "--order", "5"], ("verify", "dirichlet", "wmatrix")),
+        (["w", "--n", "3", "--m", "2", "--check"], ("expr",)),
+    ]
+    for argv, absent in cases:
+        code, out, loaded = _loaded_by(argv)
+        assert "dataclasses" not in loaded, argv
+        assert loaded.isdisjoint(absent), (argv, sorted(loaded.intersection(absent)))
+        if argv:
+            assert (code, out) == (main(argv), capsys.readouterr().out), argv
+
+
+def test_output_numbers_have_no_digit_limit():
+    from riordan_gep.gep import eulerian_poly
+
+    proc = _run_fresh("-X", "int_max_str_digits=640", "-m", "riordan_gep", "euler", "--n", "400", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["entries"] == [[str(c) for c in eulerian_poly(400).coeffs]]
+
+
+def test_rendering_restores_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert main(["euler", "--n", "400"]) == 0
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(capsys.readouterr().out) > 640
 
 
 def test_verify_reports_failures_with_nonzero_exit(capsys, monkeypatch):
@@ -389,3 +455,78 @@ def test_verify_reports_why_a_check_crashed(capsys, monkeypatch):
     ]
     code, out, _ = run_cli(capsys, "verify", "gep", "--format", "csv")
     assert out == 'gep,crashes,FAIL,"ZeroDivisionError: no inverse, sorry"\ngep,passes,ok,\n'
+
+
+# ---------------------------------------------------------------- generated argv
+
+EXPONENTS = ("0", "2", "3", "-1", "-2", "(1/2)", "(-1/3)", "(2/3)")
+
+
+def _expressions():
+    leaves = st.sampled_from(("x", "0", "1", "2", "3", "5", "x", "12"))
+
+    def extend(sub):
+        return st.one_of(
+            st.tuples(sub, st.sampled_from("+-*/"), sub).map(lambda t: f"({t[0]}){t[1]}({t[2]})"),
+            st.tuples(st.sampled_from(("exp", "log", "inv", "rev", "sqrt")), sub).map(lambda t: f"{t[0]}({t[1]})"),
+            st.tuples(sub, sub).map(lambda t: f"compose({t[0]},{t[1]})"),
+            st.tuples(sub, st.sampled_from(EXPONENTS)).map(lambda t: f"({t[0]})^{t[1]}"),
+            sub.map(lambda e: f"-{e}"),
+        )
+
+    # depth <= 4, plus text that is mostly not in the grammar
+    return st.one_of(
+        st.recursive(leaves, extend, max_leaves=6).filter(lambda e: e.count("(") <= 8),
+        st.text(alphabet="x+-*/^(),0123456789 explogincvrsqtcmp", max_size=16),
+    )
+
+
+def _argv():
+    expr = _expressions()
+    small = st.integers(1, 6).map(str)
+    rational = st.sampled_from(("0", "1", "-1", "1/2", "-5/2", "2/3", "7", "x", "1/0"))
+    fmt = st.sampled_from(("pretty", "csv", "json"))
+    commands = st.one_of(
+        st.tuples(expr, st.integers(0, 8)).map(lambda t: ["series", "eval", f"({t[0]})", "--order", str(t[1])]),
+        st.tuples(expr, expr, st.sampled_from(("ordinary", "square", "exp")), small, small).map(
+            lambda t: ["riordan", "table", f"--f={t[0]}", f"--g={t[1]}", "--kind", t[2], "--rows", t[3], "--cols", t[4]]),
+        st.tuples(st.sampled_from(("alpha", "u", "v")), expr, small).map(
+            lambda t: ["gep", t[0], f"--a={t[1]}", "--n", t[2]]),
+        st.tuples(st.sampled_from(("U", "Uinv", "V", "Vinv", "VU", "UinvVinv")), small).map(
+            lambda t: ["gep", "matrix", t[0], "--n", t[1]]),
+        small.map(lambda n: ["euler", "--n", n]),
+        st.tuples(small, small, st.booleans()).map(lambda t: ["w", "--n", t[0], "--m", t[1]] + ["--check"] * t[2]),
+        st.tuples(small, rational, st.sampled_from(("conj", "dtilde", "log"))).map(
+            lambda t: ["abeta", "--n", t[0], f"--beta={t[1]}", "--construction", t[2]]),
+        st.tuples(expr, rational, rational, st.integers(0, 8)).map(
+            lambda t: ["lagrange", f"--a={t[0]}", f"--beta={t[1]}", f"--phi={t[2]}", "--order", str(t[3])]),
+        st.tuples(st.sampled_from(("zeta", "zeta-inv", "zeta-log")), small, small).map(
+            lambda t: ["dirichlet", "table", "--preset", t[0], "--rows", t[1], "--cols", t[2]]),
+        st.tuples(small, small).map(lambda t: ["dirichlet", "g", "--p", t[0], "--r", t[1]]),
+        st.tuples(st.sampled_from(("series", "riordan", "stirling", "gep", "w", "abeta", "dirichlet", "cli")),
+                  st.integers(1, 2), st.integers(-3, 3)).map(
+            lambda t: ["verify", t[0], "--max-n", str(t[1]), "--seed", str(t[2])]),
+        st.sampled_from((["euler", "--n", "0"], ["euler", "--n", "two"], ["gep"], ["w", "--n", "1"], [])),
+    )
+    return st.tuples(commands, fmt).map(lambda t: t[0] + ["--format", t[1]] if len(t[0]) > 2 else t[0])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_generated_argv_ends_cleanly(argv):
+    # every input ends with exit 0, 1 (one line on stderr) or 2 (usage), never
+    # a traceback; a _dispatch branch that lost an import fails here with NameError
+    import contextlib
+    import io
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (argv, err.getvalue())
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue(), argv

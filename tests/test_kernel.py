@@ -8,7 +8,9 @@ factorizations and the linear-scan decomposition enumeration that the
 Dirichlet layer used before its common-denominator kernel and sieve; the
 integer power and column loop that started from a product by 1; and the
 Fraction dot products of RMatrix.__mul__ and apply before their
-common-denominator kernel.  Every comparison is exact equality.
+common-denominator kernel; and the product of n linear factors per column
+that matrix_u_inv used before its column recurrence.  Every comparison is
+exact equality.
 """
 
 import random
@@ -588,3 +590,22 @@ class TestEulerian:
                 col = series.binomial_poly(n - 1 - p, -1) * eulerian_by_formula(p + 1).shift_down(1)
                 cols.append([col.coeff(i) / fn for i in range(n)])
             assert gep.matrix_u(n) == RMatrix.from_cols(cols)
+
+
+# ---------------------------------------------------------------- U^-1
+
+
+def ref_matrix_u_inv(n: int) -> RMatrix:
+    """Column p as the product of the n linear factors x - p + m, divided by x."""
+    cols = []
+    for p in range(n):
+        prod = Poly([1])
+        for m in range(n):
+            prod = prod * Poly([m - p, 1])
+        cols.append(prod.shift_down(1).to_vector(n))
+    return RMatrix.from_cols(cols)
+
+
+def test_matrix_u_inv_column_recurrence():
+    for n in range(1, 41):
+        assert gep.matrix_u_inv(n) == ref_matrix_u_inv(n)
