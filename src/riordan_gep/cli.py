@@ -126,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("abeta", parents=[common], help="shift-conjugation transform matrix")
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--beta", type=_fraction, required=True)
-    p.add_argument("--construction", choices=("conj", "dtilde", "log"), default="conj")
 
     p = sub.add_parser("lagrange", parents=[common], help="generalized Lagrange series")
     p.add_argument("--a", required=True, help="base series expression, a(0) = 1")
@@ -221,7 +220,7 @@ def _dispatch(args):
         from .lagrange import abeta_matrix
 
         n = _check_limit(args.n, "n")
-        return partial(matrix_doc, abeta_matrix(n, args.beta, args.construction).matrix, n=n)
+        return partial(matrix_doc, abeta_matrix(n, args.beta).matrix, n=n)
 
     if args.command == "lagrange":
         from . import lagrange

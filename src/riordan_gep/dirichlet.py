@@ -10,12 +10,12 @@ lives over (1-x)^(Omega(n)+1).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from .errors import LeadingCoefficientNotOne, NotPolynomial, OutOfRange
 from .gep import matrix_u, matrix_v_inv  # noqa: F401  perfbench's tracer test pins the matrix_u alias
 from .matrix import RMatrix
-from .series import Poly, as_rational, binomial_poly
+from .series import Poly, as_rational, binomial_poly, over_lcm
 from .stirling import big_omega, divisors, factorize  # noqa: F401  sieve-backed, re-exported
 from .stirling import bell_partial_mult, mult_decompositions
 
@@ -71,12 +71,6 @@ class DirichletSeries:
         return DirichletSeries([self.coeffs[i] - other.coeffs[i] for i in range(n)])
 
 
-def _numerators(coeffs):
-    """(integer numerators, d) with coeffs[i] = numerators[i] / d, d the lcm of the denominators."""
-    d = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
-
-
 def dirichlet_mul(a: DirichletSeries, b: DirichletSeries) -> DirichletSeries:
     """Divisor convolution: coefficient n is sum over d|n of a_d b_{n/d}.
 
@@ -85,8 +79,8 @@ def dirichlet_mul(a: DirichletSeries, b: DirichletSeries) -> DirichletSeries:
     output is one Fraction over da*db (zeros share one Fraction object).
     """
     n_max = min(a.n_max, b.n_max)
-    na, da = _numerators(a.coeffs[:n_max])
-    nb, db = _numerators(b.coeffs[:n_max])
+    na, da = over_lcm(a.coeffs[:n_max])
+    nb, db = over_lcm(b.coeffs[:n_max])
     out = [0] * (n_max + 1)  # out[n] is the numerator of coefficient n
     for i, x in enumerate(na, 1):
         if x:
@@ -106,7 +100,7 @@ def dirichlet_inv(a: DirichletSeries) -> DirichletSeries:
     if a.coeff(1) != 1:
         raise LeadingCoefficientNotOne("inverse needs a_1 = 1")
     n_max = a.n_max
-    nums, den = _numerators(a.coeffs)
+    nums, den = over_lcm(a.coeffs)
     omega = [big_omega(n) for n in range(n_max + 1)]
     powers = [den**k for k in range(max(omega) + 1)]
     # A_d D^(Omega(d)-1) for d = 2..N
@@ -131,7 +125,7 @@ def _exp_term(coeffs, n: int) -> Fraction:
     Fraction sum_k S_k / (k! D^k).
     """
     factors = divisors(n)[1:]
-    nums, den = _numerators([coeffs[d - 1] for d in factors])
+    nums, den = over_lcm([coeffs[d - 1] for d in factors])
     num = dict(zip(factors, nums))
     top = big_omega(n)
     total = 0  # over top! D^top

@@ -23,6 +23,7 @@ division, which makes 3/4 evaluate to the constant 3/4.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import EvalError, ParseError, RiordanGepError
@@ -109,9 +110,9 @@ def _tokenize(text: str):
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():  # not isdigit: int() refuses superscripts such as "²"
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -145,6 +146,15 @@ def _nesting_limited(step):
         return result
 
     return limited
+
+
+def _int(tok) -> int:
+    """The value of an int token; one past Python's int-to-str digit limit is a ParseError."""
+    try:
+        return int(tok[1])
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(tok[2], f"an integer of at most {limit} digits", f"{len(tok[1])} digits") from None
 
 
 class _Parser:
@@ -227,14 +237,15 @@ class _Parser:
             closing = self.expect(")")
             return value, closing[2] + 1
         num = self.expect("int")
-        value = Fraction(int(num[1]))
+        value = Fraction(_int(num))
         end = num[2] + len(num[1])
         if not bare and self.peek()[0] == "/":
             self.next()
             den = self.expect("int")
-            if int(den[1]) == 0:
+            d = _int(den)
+            if d == 0:
                 raise ParseError(den[2], "a nonzero denominator", den[1])
-            value = Fraction(int(num[1]), int(den[1]))
+            value /= d
             end = den[2] + len(den[1])
         return value, end
 
@@ -242,7 +253,7 @@ class _Parser:
         tok = self.next()
         kind, text, start = tok
         if kind == "int":
-            return Lit(Fraction(int(text)), (start, start + len(text)))
+            return Lit(Fraction(_int(tok)), (start, start + len(text)))
         if kind == "name":
             if text == "x":
                 return Var((start, start + 1))

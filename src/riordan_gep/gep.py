@@ -25,7 +25,6 @@ from math import factorial
 
 from .errors import ConstantTermNotOne, InsufficientOrder, OutOfRange
 from .matrix import RMatrix
-from .riordan import row_of_pair
 from .series import Poly, Series, as_rational, binomial_poly, log, reciprocal
 
 
@@ -46,6 +45,8 @@ class GepContext:
             raise ConstantTermNotOne("generalized Euler polynomials need a(0) = 1")
         if a.order < n:
             raise InsufficientOrder(f"order {n} required for n={n}, series has order {a.order}")
+        from .riordan import row_of_pair
+
         an = a.truncate(n)
         one = Series.one(n)
         fn = factorial(n)
@@ -112,22 +113,32 @@ def matrix_u(n: int) -> RMatrix:
 
 @lru_cache(maxsize=None)
 def matrix_u_inv(n: int) -> RMatrix:
-    """Column p holds the coefficients of (1/x) * prod_{m=0}^{n-1}(x - p + m).
-
-    Column 0 is (x+1)(x+2)...(x+n-1); column p+1 is column p times
-    (x-p-1) / (x-p+n-1), one integer multiplication and one exact synthetic
-    division per column.
-    """
+    """Column p holds the coefficients of (1/x) * prod_{m=0}^{n-1}(x - p + m)."""
     if n < 1:
         raise OutOfRange("n must be positive")
+    return RMatrix.from_cols(shifted_u_inv_columns(n, 0))
+
+
+def shifted_u_inv_columns(n: int, s) -> list:
+    """The columns of E^s U_n^-1 (E^s: c(x) -> c(x + s)): column p holds the
+    coefficients of prod_{m != p}(x + s - p + m).
+
+    Column 0 is (x+s+1)...(x+s+n-1); column p+1 is column p times
+    (x+s-p-1) / (x+s-p+n-1), one multiplication and one exact synthetic
+    division.  For s = a/q the step runs over the integers in y = q x, and
+    coefficient i is divided by q^(n-1-i) at the end.
+    """
+    a, q = as_rational(s).as_integer_ratio()
     col = [1]
     for j in range(1, n):
-        col = _times_linear(col, j)
+        col = _times_linear(col, a + q * j)
     cols = [col]
     for p in range(n - 1):
-        col = _over_linear(_times_linear(col, -p - 1), n - 1 - p)
-        cols.append(col)
-    return RMatrix.from_cols(cols)
+        cols.append(_over_linear(_times_linear(cols[-1], a - q * (p + 1)), a + q * (n - 1 - p)))
+    if q == 1:
+        return cols
+    scale = [q ** (n - 1 - i) for i in range(n)]
+    return [[Fraction(c, d) for c, d in zip(col, scale)] for col in cols]
 
 
 def _times_linear(c, b):
@@ -202,6 +213,8 @@ def convolution_numerator(k, n: int, star: bool = False) -> Poly:
     -k x^2/(1-x-k x^2).  With star=True the roles of the coefficients are
     swapped: denominator 1 - k x - x^2, second component -x^2/(...).
     """
+    from .riordan import row_of_pair
+
     k = as_rational(k)
     if star:
         denom = Series([1, -k, -1], order=max(n, 2))

@@ -5,10 +5,11 @@ series b = lagrange_series(a, beta) is the unique series with
 b(x a^-beta(x)) = a(x); its powers satisfy the coefficient formula
 [x^n] b^phi = phi/(phi + beta n) [x^n] a^(phi + beta n).
 
-A_n^beta maps alpha~ of a to alpha~ of b and can be built three ways:
-conjugating the argument shift x -> x + n beta by U_n, the diagonal
-construction V_n^-1 D T^t D^-1 V_n, or the truncated exponential of
-n * (conjugated differentiation).
+A_n^beta maps alpha~ of a to alpha~ of b.  It is built one way: U_n
+applied to the columns of E^(n beta) U_n^-1, E^s the shift c(x) -> c(x+s).
+The paper's other two constructions, V_n^-1 D T^t D^-1 V_n and the
+truncated exponential of the nilpotent generator log_abeta, are the
+verify row "three constructions agree".
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import DegreeTooHigh, OutOfRange, PoleAtCoefficient
-from .gep import matrix_u, matrix_u_inv, matrix_v, matrix_v_inv
+from .gep import matrix_u, matrix_u_inv, shifted_u_inv_columns
 from .matrix import RMatrix
 from .series import (
     Poly,
@@ -154,17 +155,6 @@ class ABetaMatrix:
         return f"ABetaMatrix(n={self.n}, beta={self.beta})"
 
 
-def _shift_matrix(n: int, s) -> RMatrix:
-    """Action of c(x) -> c(x+s) on coefficient columns of degree-<n polynomials."""
-    from math import comb
-
-    s = as_rational(s)
-    cols = []
-    for j in range(n):
-        cols.append([comb(j, i) * s ** (j - i) if i <= j else Fraction(0) for i in range(n)])
-    return RMatrix.from_cols(cols)
-
-
 def _diff_matrix(n: int) -> RMatrix:
     """Differentiation on coefficient columns: column j has j at row j-1."""
     return RMatrix(
@@ -177,30 +167,12 @@ def log_abeta(n: int) -> RMatrix:
     return matrix_u(n) * (_diff_matrix(n) * n) * matrix_u_inv(n)
 
 
-def abeta_matrix(n: int, beta, construction: str = "conj") -> ABetaMatrix:
-    """A_n^beta by one of the three constructions: 'conj', 'dtilde' or 'log'."""
+def abeta_matrix(n: int, beta) -> ABetaMatrix:
+    """A_n^beta = U_n E^(n beta) U_n^-1, one matrix product."""
     beta = as_rational(beta)
     if n < 1:
         raise OutOfRange("n must be positive")
-    if construction == "conj":
-        mat = matrix_u(n) * _shift_matrix(n, n * beta) * matrix_u_inv(n)
-    elif construction == "dtilde":
-        t = RMatrix(
-            [[rational_binomial(n * beta, j - i) for j in range(n)] for i in range(n)]
-        )
-        d = RMatrix.diagonal(range(1, n + 1))
-        d_inv = RMatrix.diagonal([Fraction(1, i) for i in range(1, n + 1)])
-        mat = matrix_v_inv(n) * d * t * d_inv * matrix_v(n)
-    elif construction == "log":
-        gen = log_abeta(n)
-        mat = RMatrix.identity(n)
-        term = RMatrix.identity(n)
-        for m in range(1, n):
-            term = term * gen
-            mat = mat + term * (beta**m / factorial(m))
-    else:
-        raise OutOfRange(f"unknown construction {construction!r}")
-    return ABetaMatrix(n, beta, mat)
+    return ABetaMatrix(n, beta, matrix_u(n) * RMatrix.from_cols(shifted_u_inv_columns(n, n * beta)))
 
 
 def abeta_apply(A: ABetaMatrix, alpha_tilde: Poly) -> Poly:
@@ -231,8 +203,7 @@ def vtilde_transform(n: int, beta, v_tilde: Poly) -> Poly:
     beta = as_rational(beta)
     if v_tilde.degree() >= n:
         raise DegreeTooHigh(f"polynomial degree must be < {n}")
-    vec = list(v_tilde.to_vector(n))
-    vec = [c / (i + 1) for i, c in enumerate(vec)]
-    t = RMatrix([[rational_binomial(n * beta, j - i) for j in range(n)] for i in range(n)])
-    vec = t.apply(vec)
-    return Poly([c * (i + 1) for i, c in enumerate(vec)])
+    vec = [c / (i + 1) for i, c in enumerate(v_tilde.to_vector(n))]
+    # T^t is Toeplitz: entry (i, j) is C(n beta, j - i)
+    binoms = [rational_binomial(n * beta, k) for k in range(n)]
+    return Poly([(i + 1) * sum(map(Fraction.__mul__, binoms, vec[i:])) for i in range(n)])

@@ -10,18 +10,11 @@ built from it over d_i e_j.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
-from .series import as_rational
+from .series import as_rational, over_lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _over_lcm(values):
-    """Integer numerators of a Fraction sequence over its lcm denominator, and that lcm."""
-    d = lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def _dot(num, d, other_num, e):
@@ -104,11 +97,11 @@ class RMatrix:
                 raise ValueError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            cols = [_over_lcm(col) for col in zip(*other.entries)]
+            cols = [over_lcm(col) for col in zip(*other.entries)]
             return RMatrix._of(
                 tuple(
                     tuple(_dot(num, d, cnum, e) for cnum, e in cols)
-                    for num, d in map(_over_lcm, self.entries)
+                    for num, d in map(over_lcm, self.entries)
                 )
             )
         c = as_rational(other)
@@ -134,8 +127,8 @@ class RMatrix:
         vec = [as_rational(v) for v in vec]
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        vnum, e = _over_lcm(vec)
-        return tuple(_dot(num, d, vnum, e) for num, d in map(_over_lcm, self.entries))
+        vnum, e = over_lcm(vec)
+        return tuple(_dot(num, d, vnum, e) for num, d in map(over_lcm, self.entries))
 
     def col_sums(self):
         return tuple(sum(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols))

@@ -23,6 +23,13 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def over_lcm(values):
+    """(integer numerators, d) with values[i] = numerators[i] / d, d the lcm of the
+    denominators: how every exact integer kernel writes its Fraction operands."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def _product(a, b, length: int) -> list:
     """Coefficients 0..length-1 of the product of two Fraction sequences.
 
@@ -33,10 +40,8 @@ def _product(a, b, length: int) -> list:
     so packing and unpacking see only nonnegative slots.  `length` is at most
     len(a) + len(b) - 1.
     """
-    da = lcm(*(c.denominator for c in a))
-    db = lcm(*(c.denominator for c in b))
-    na = [c.numerator * (da // c.denominator) for c in a]
-    nb = [c.numerator * (db // c.denominator) for c in b]
+    na, da = over_lcm(a)
+    nb, db = over_lcm(b)
     ma, mb = max(map(abs, na)), max(map(abs, nb))
     if not ma or not mb:
         return [_ZERO] * length

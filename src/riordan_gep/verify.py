@@ -5,8 +5,9 @@ fixed golden data) and compares by exact equality.  The CLI `verify`
 subcommand runs these and reports one line per check.
 
 Constructors build each object one way; every comparison with another
-route (W three ways, the Stirling factorizations, alpha through V^-1, U
-and the row numerator) and every module identity lives here.
+route (W three ways, A^beta three ways, the Stirling factorizations,
+alpha through V^-1, U and the row numerator) and every module identity
+lives here.
 """
 
 from __future__ import annotations
@@ -542,14 +543,24 @@ _BETAS = (
 )
 
 
+def abeta_routes_agree(n: int, beta) -> bool:
+    """abeta_matrix, V_n^-1 D T^t D^-1 V_n and sum_{m<n} beta^m/m! (log A_n)^m agree."""
+    beta, v = as_rational(beta), gep.matrix_v(n)
+    by_dtilde = gep.matrix_v_inv(n) * RMatrix.from_cols(
+        lagrange.vtilde_transform(n, beta, Poly(v.column(j))).to_vector(n) for j in range(n)
+    )
+    gen = lagrange.log_abeta(n)
+    by_log = term = RMatrix.identity(n)
+    for m in range(1, n):
+        term = term * gen
+        by_log = by_log + term * (beta**m / factorial(m))
+    return lagrange.abeta_matrix(n, beta).matrix == by_dtilde == by_log
+
+
 def check_abeta_constructions(rng, max_n):
     for n in range(1, _cap(8, max_n) + 1):
-        for beta in _BETAS:
-            conj = lagrange.abeta_matrix(n, beta, "conj").matrix
-            if lagrange.abeta_matrix(n, beta, "dtilde").matrix != conj:
-                return False
-            if lagrange.abeta_matrix(n, beta, "log").matrix != conj:
-                return False
+        if not all(abeta_routes_agree(n, beta) for beta in _BETAS):
+            return False
     return True
 
 

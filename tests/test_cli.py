@@ -155,23 +155,12 @@ class TestWAndAbeta:
         assert code == 0
         assert out == "3/2,1/2\n-1/2,1/2\n"
 
-    def test_abeta_constructions_match(self, capsys):
-        outs = []
-        for construction in ("conj", "dtilde", "log"):
-            code, out, _ = run_cli(
-                capsys,
-                "abeta",
-                "--n",
-                "4",
-                "--beta=-2/3",  # negative rationals use the = form
-                "--construction",
-                construction,
-                "--format",
-                "csv",
-            )
-            assert code == 0
-            outs.append(out)
-        assert outs[0] == outs[1] == outs[2]
+    def test_abeta_has_one_construction(self, capsys):
+        # the other two constructions are the verify row "three constructions agree"
+        with pytest.raises(SystemExit) as info:
+            main(["abeta", "--n", "4", "--beta", "1/2", "--construction", "conj"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --construction conj" in capsys.readouterr().err
 
 
 class TestLagrange:
@@ -265,6 +254,16 @@ class TestLimitsAndUsage:
         code, out, err = run_cli(capsys, "series", "eval", text, "--order", "2")
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: parse error")
+
+    def test_overlong_literal_is_a_one_line_parse_error(self, capsys):
+        # Python's int() refuses more than sys.get_int_max_str_digits() digits
+        for text, offset in (("1" * 4400, 0), ("x^(1/" + "1" * 4400 + ")", 5), ("x^" + "2" * 4400, 2)):
+            code, out, err = run_cli(capsys, "series", "eval", text, "--order", "2")
+            assert code == 1 and out == ""
+            assert err == (
+                f"error: parse error at offset {offset}: expected an integer of at most "
+                f"{sys.get_int_max_str_digits()} digits, found 4400 digits\n"
+            )
 
     def test_module_runs_as_script(self):
         proc = subprocess.run(
@@ -376,16 +375,17 @@ def test_plain_commands_do_not_import_verify(capsys):
     cases = [
         ([], DOMAIN + ("expr",)),
         (["series", "eval", "x/(1-x)"], DOMAIN),
-        (["dirichlet", "table", "--preset", "zeta-log", "--rows", "8"], ("expr", "verify", "lagrange", "wmatrix")),
-        (["dirichlet", "g", "--p", "2", "--r", "2"], ("expr", "verify")),
-        (["euler", "--n", "5"], ("expr", "verify", "dirichlet", "lagrange", "stirling", "wmatrix")),
-        (["gep", "matrix", "U", "--n", "4"], ("expr", "verify", "dirichlet", "lagrange", "wmatrix")),
+        (["dirichlet", "table", "--preset", "zeta-log", "--rows", "8"],
+         ("expr", "verify", "lagrange", "riordan", "wmatrix")),
+        (["dirichlet", "g", "--p", "2", "--r", "2"], ("expr", "verify", "riordan")),
+        (["euler", "--n", "5"], ("expr", "verify", "dirichlet", "lagrange", "riordan", "stirling", "wmatrix")),
+        (["gep", "matrix", "U", "--n", "4"], ("expr", "verify", "dirichlet", "lagrange", "riordan", "wmatrix")),
         (["gep", "alpha", "--a", "exp(x)", "--n", "4"], ("verify", "dirichlet", "lagrange", "wmatrix")),
         (["riordan", "table", "--f", "exp(x)", "--g", "x", "--kind", "exp", "--rows", "4"],
          ("verify", "dirichlet", "gep", "lagrange", "stirling", "wmatrix")),
-        (["abeta", "--n", "4", "--beta", "1/2"], ("expr", "verify", "dirichlet", "wmatrix")),
+        (["abeta", "--n", "4", "--beta", "1/2"], ("expr", "verify", "dirichlet", "riordan", "wmatrix")),
         (["w", "--n", "3", "--m", "2"], ("expr", "verify", "dirichlet", "lagrange")),
-        (["lagrange", "--a", "1+x", "--beta", "1/2", "--order", "5"], ("verify", "dirichlet", "wmatrix")),
+        (["lagrange", "--a", "1+x", "--beta", "1/2", "--order", "5"], ("verify", "dirichlet", "riordan", "wmatrix")),
         (["w", "--n", "3", "--m", "2", "--check"], ("expr",)),
     ]
     for argv, absent in cases:
@@ -394,6 +394,27 @@ def test_plain_commands_do_not_import_verify(capsys):
         assert loaded.isdisjoint(absent), (argv, sorted(loaded.intersection(absent)))
         if argv:
             assert (code, out) == (main(argv), capsys.readouterr().out), argv
+
+
+def test_readme_synopsis_parses():
+    # every documented invocation, with its [...] groups dropped and included
+    import re
+    import shlex
+    from pathlib import Path
+
+    from riordan_gep.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("riordan-gep ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        for text in (re.sub(r"\s*\[[^]]*\]", "", line), re.sub(r"\[([^]]*)\]", r"\1", line)):
+            try:
+                parser.parse_args(shlex.split(text)[1:])
+            except SystemExit as exc:
+                pytest.fail(f"README synopsis {text!r} is a usage error (exit {exc.code})")
 
 
 def test_output_numbers_have_no_digit_limit():
@@ -496,8 +517,7 @@ def _argv():
             lambda t: ["gep", "matrix", t[0], "--n", t[1]]),
         small.map(lambda n: ["euler", "--n", n]),
         st.tuples(small, small, st.booleans()).map(lambda t: ["w", "--n", t[0], "--m", t[1]] + ["--check"] * t[2]),
-        st.tuples(small, rational, st.sampled_from(("conj", "dtilde", "log"))).map(
-            lambda t: ["abeta", "--n", t[0], f"--beta={t[1]}", "--construction", t[2]]),
+        st.tuples(small, rational).map(lambda t: ["abeta", "--n", t[0], f"--beta={t[1]}"]),
         st.tuples(expr, rational, rational, st.integers(0, 8)).map(
             lambda t: ["lagrange", f"--a={t[0]}", f"--beta={t[1]}", f"--phi={t[2]}", "--order", str(t[3])]),
         st.tuples(st.sampled_from(("zeta", "zeta-inv", "zeta-log")), small, small).map(

@@ -68,6 +68,9 @@ class TestParsing:
             parse_expr("foo(x)")
         with pytest.raises(ParseError):
             parse_expr("1 $ 2")
+        with pytest.raises(ParseError) as info:  # "²".isdigit(), but int("²") fails
+            parse_expr("x^²")
+        assert info.value.position == 2
 
     def test_spans_cover_input(self):
         text = "(1+x)/(1-x)"

@@ -8,9 +8,10 @@ factorizations and the linear-scan decomposition enumeration that the
 Dirichlet layer used before its common-denominator kernel and sieve; the
 integer power and column loop that started from a product by 1; and the
 Fraction dot products of RMatrix.__mul__ and apply before their
-common-denominator kernel; and the product of n linear factors per column
-that matrix_u_inv used before its column recurrence.  Every comparison is
-exact equality.
+common-denominator kernel; the product of n linear factors per column
+that matrix_u_inv used before its column recurrence; and the binomial shift
+matrix between U_n and U_n^-1, two RMatrix products, that abeta_matrix used
+before it shifted the columns of U_n^-1.  Every comparison is exact equality.
 """
 
 import random
@@ -609,3 +610,48 @@ def ref_matrix_u_inv(n: int) -> RMatrix:
 def test_matrix_u_inv_column_recurrence():
     for n in range(1, 41):
         assert gep.matrix_u_inv(n) == ref_matrix_u_inv(n)
+
+
+# ---------------------------------------------------------------- A^beta
+
+
+def ref_shift_matrix(n: int, s) -> RMatrix:
+    """The action of c(x) -> c(x+s) on coefficient columns of degree-<n polynomials."""
+    return RMatrix.from_cols(
+        [[comb(j, i) * s ** (j - i) if i <= j else F(0) for i in range(n)] for j in range(n)]
+    )
+
+
+def ref_abeta_matrix(n: int, beta) -> RMatrix:
+    """A_n^beta as U_n times the shift matrix times U_n^-1, two RMatrix products."""
+    return gep.matrix_u(n) * ref_shift_matrix(n, n * beta) * gep.matrix_u_inv(n)
+
+
+def wide_betas(rng):
+    """Seeded betas: integers, small fractions and numerators and denominators up to 10^6."""
+    yield F(rng.randint(-9, 9))
+    yield F(rng.randint(-9, 9), rng.randint(2, 9))
+    yield F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+
+class TestShiftedColumns:
+    def test_abeta_matrix_is_the_conjugated_shift(self):
+        from riordan_gep.lagrange import abeta_matrix
+
+        rng = random.Random(29)
+        for n in range(1, 25):
+            for beta in wide_betas(rng):
+                got = abeta_matrix(n, beta).matrix
+                assert got == ref_abeta_matrix(n, beta), (n, beta)
+                assert all_fractions(e for row in got.entries for e in row)
+
+    def test_columns_are_the_shifted_inverse(self):
+        rng = random.Random(31)
+        for n in range(1, 17):
+            for s in (F(0), F(n), F(-n)) + tuple(wide_betas(rng)):
+                cols = RMatrix.from_cols(gep.shifted_u_inv_columns(n, s))
+                assert cols == ref_shift_matrix(n, s) * ref_matrix_u_inv(n), (n, s)
+
+    def test_zero_shift_is_matrix_u_inv(self):
+        for n in range(1, 41):
+            assert RMatrix.from_cols(gep.shifted_u_inv_columns(n, 0)) == gep.matrix_u_inv(n)
