@@ -14,7 +14,6 @@ from .errors import (
     NotInvertibleForComposition,
     NotPolynomial,
     OutOfRange,
-    PoleAtCoefficient,
     RiordanGepError,
     ZeroConstantTerm,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "NotPolynomial",
     "OutOfRange",
     "DegreeTooHigh",
-    "PoleAtCoefficient",
     "LeadingCoefficientNotOne",
     "__version__",
 ]

@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 domain error (bad series for the requested
-operation, pole, order cap exceeded), 2 usage error.  Output formats:
+operation, order cap exceeded), 2 usage error.  Output formats:
 pretty (default), csv, json.  The environment variable
 RIORDAN_GEP_MAX_ORDER (default 4096) bounds every requested order/size.
 Output numbers have no digit cap: main lifts Python's int-to-str limit
@@ -227,8 +227,7 @@ def _dispatch(args):
 
         order = _check_limit(args.order, "order")
         a = _eval(args.a, order)
-        fam = lagrange.LagrangeFamily(a, args.beta, order)
-        return partial(series_doc, lagrange.lagrange_coeffs(fam, args.phi))
+        return partial(series_doc, lagrange.lagrange_coeffs(a, args.beta, order, args.phi))
 
     if args.command == "dirichlet":
         from . import dirichlet as ds

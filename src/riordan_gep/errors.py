@@ -47,18 +47,6 @@ class DegreeTooHigh(RiordanGepError):
     """A polynomial argument exceeds the degree bound of a transform."""
 
 
-class PoleAtCoefficient(RiordanGepError):
-    """The Lagrange coefficient formula hit phi + beta*n = 0.
-
-    Exact arithmetic cannot take the limit; callers must choose phi (or the
-    compositional construction) so the pole is avoided.
-    """
-
-    def __init__(self, index, message=None):
-        self.index = index
-        super().__init__(message or f"pole in coefficient formula at n={index}")
-
-
 class LeadingCoefficientNotOne(RiordanGepError):
     """A Dirichlet series operation required a_1 = 1."""
 

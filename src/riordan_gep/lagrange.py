@@ -1,9 +1,12 @@
 """Generalized Lagrange series and the shift-conjugation transform A_n^beta.
 
 For a series a with a(0) = 1 and rational beta, the generalized Lagrange
-series b = lagrange_series(a, beta) is the unique series with
-b(x a^-beta(x)) = a(x); its powers satisfy the coefficient formula
-[x^n] b^phi = phi/(phi + beta n) [x^n] a^(phi + beta n).
+series b is the unique series with b(x a^-beta(x)) = a(x).  Its powers are
+built one way, lagrange_coeffs, by the coefficient formula
+[x^n] b^phi = phi/(phi + beta n) [x^n] a^(phi + beta n), whose one
+singularity at phi + beta n = 0 is removable.  lagrange_series (reversion
+plus composition) is the verify row "functional equations of the
+deformation".
 
 A_n^beta maps alpha~ of a to alpha~ of b.  It is built one way: U_n
 applied to the columns of E^(n beta) U_n^-1, E^s the shift c(x) -> c(x+s).
@@ -17,8 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .errors import DegreeTooHigh, OutOfRange, PoleAtCoefficient
-from .gep import matrix_u, matrix_u_inv, shifted_u_inv_columns
+from .errors import DegreeTooHigh, OutOfRange
+from .gep import matrix_u, shifted_u_inv_columns
 from .matrix import RMatrix
 from .series import (
     Poly,
@@ -43,54 +46,39 @@ def rational_binomial(r, k: int) -> Fraction:
     return num / factorial(k)
 
 
-class LagrangeFamily:
-    """A base series (a(0) = 1), a rational deformation parameter, and an order."""
-
-    __slots__ = ("a", "beta", "order")
-
-    def __init__(self, a: Series, beta, order: int):
-        beta = as_rational(beta)
-        if a.coeff(0) != 1:
-            raise OutOfRange("Lagrange family needs a(0) = 1")
-        if a.order < order:
-            raise OutOfRange(f"series order {a.order} below requested order {order}")
-        self.a = a
-        self.beta = beta
-        self.order = order
-
-
-def lagrange_coeffs(fam: LagrangeFamily, phi) -> Series:
+def lagrange_coeffs(a: Series, beta, order: int, phi=1) -> Series:
     """The phi-th power of the deformed series, coefficient by coefficient.
 
-    Coefficient n is phi/(phi + beta n) [x^n] a^(phi + beta n).  When
-    phi + beta n = 0 exact arithmetic cannot take the limit and
-    PoleAtCoefficient is raised; pick phi (or use lagrange_series) to
-    avoid poles.
+    Coefficient n is phi/(phi + beta n) [x^n] a^(phi + beta n).  At the one
+    n with phi + beta n = 0 the singularity is removable: by Lagrange-Buermann
+    [x^n] b^phi = (phi/n) [x^(n-1)] a' a^(phi + beta n - 1), there phi [x^n] log a.
     """
-    phi = as_rational(phi)
-    beta, order, a = fam.beta, fam.order, fam.a
+    phi, beta = as_rational(phi), as_rational(beta)
+    if a.coeff(0) != 1:
+        raise OutOfRange("Lagrange family needs a(0) = 1")
+    if a.order < order:
+        raise OutOfRange(f"series order {a.order} below requested order {order}")
+    a = a.truncate(order)
     if phi == 0:
         return Series.one(order)
     if beta == 0:
-        return power(a.truncate(order), phi)
-    step = power(a.truncate(order), beta)
-    acc = power(a.truncate(order), phi)  # holds a^(phi + beta*n) after n steps
+        return power(a, phi)
+    step = power(a, beta)
+    acc = power(a, phi)  # holds a^(phi + beta*n) after n steps
     out = [Fraction(1)]
     for n in range(1, order + 1):
         denom = phi + beta * n
-        if denom == 0:
-            raise PoleAtCoefficient(n)
         acc = acc * step
-        out.append(phi / denom * acc.coeff(n))
+        out.append(phi / denom * acc.coeff(n) if denom else phi * log(a).coeff(n))
     return Series(out)
 
 
 def lagrange_series(a: Series, beta, order: int) -> Series:
-    """Pole-free construction through the functional equation.
+    """The deformed series by reversion and composition, the verify route.
 
     Solves b(x a^-beta(x)) = a(x) by compositional inversion of
-    w = x a^-beta, so b = a(w^<-1>).  Agrees with lagrange_coeffs at
-    phi = 1 wherever the coefficient formula has no pole.
+    w = x a^-beta, so b = a(w^<-1>).  The verify row "functional equations
+    of the deformation" compares it with lagrange_coeffs.
     """
     beta = as_rational(beta)
     if a.coeff(0) != 1:
@@ -108,7 +96,7 @@ def diagonal_table(a: Series, beta, v: int, k_range, cols: int) -> RMatrix:
     """Diagonal rearrangements of the power table of a^beta.
 
     Row k of the v-th rearrangement is the series
-        (1 + x v beta (log b)') b^(beta k),   b = lagrange_series(a, v beta),
+        (1 + x v beta (log b)') b^(beta k),   b = lagrange_coeffs(a, v beta),
     which equals the direct reading [x^j] a^(beta (k + v j)).  v = 0 gives
     the plain power table a^(beta k).
     """
@@ -122,7 +110,7 @@ def diagonal_table(a: Series, beta, v: int, k_range, cols: int) -> RMatrix:
         for k in k_range:
             rows.append(power(a.truncate(cols), beta * k).coeffs[:cols])
         return RMatrix(rows)
-    b = lagrange_series(a, v * beta, cols)
+    b = lagrange_coeffs(a, v * beta, cols)
     weight = Series.one(cols) + Series.x(cols) * derivative(log(b)).truncate(cols - 1) * (
         v * beta
     )
@@ -155,16 +143,12 @@ class ABetaMatrix:
         return f"ABetaMatrix(n={self.n}, beta={self.beta})"
 
 
-def _diff_matrix(n: int) -> RMatrix:
-    """Differentiation on coefficient columns: column j has j at row j-1."""
-    return RMatrix(
-        [[Fraction(j) if i == j - 1 else Fraction(0) for j in range(n)] for i in range(n)]
-    )
-
-
 def log_abeta(n: int) -> RMatrix:
-    """The nilpotent generator: U_n . (n D) . U_n^-1."""
-    return matrix_u(n) * (_diff_matrix(n) * n) * matrix_u_inv(n)
+    """The nilpotent generator U_n (n D) U_n^-1, D differentiation on coefficient
+    columns: U_n times the columns n c' of U_n^-1."""
+    return matrix_u(n) * RMatrix.from_cols(
+        [n * k * c[k] for k in range(1, n)] + [0] for c in shifted_u_inv_columns(n, 0)
+    )
 
 
 def abeta_matrix(n: int, beta) -> ABetaMatrix:

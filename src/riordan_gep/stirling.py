@@ -101,26 +101,6 @@ def divisors(n: int) -> list:
     return out
 
 
-class StirlingTable:
-    """Memoized triangle of either kind, immutable after construction."""
-
-    FIRST = "first"
-    SECOND = "second"
-
-    def __init__(self, kind: str, max_n: int):
-        if kind not in (self.FIRST, self.SECOND):
-            raise ValueError("kind must be 'first' or 'second'")
-        self.kind = kind
-        self.max_n = max_n
-        fn = stirling2 if kind == self.SECOND else stirling1_signed
-        self.values = tuple(tuple(fn(n, k) for k in range(n + 1)) for n in range(max_n + 1))
-
-    def value(self, n: int, k: int) -> int:
-        if n < 0 or n > self.max_n or k < 0 or k > n:
-            raise OutOfRange(f"({n}, {k}) outside table of max_n={self.max_n}")
-        return self.values[n][k]
-
-
 def additive_partitions(n: int, m: int):
     """All partitions of n into exactly m parts >= 1, as {part: multiplicity}."""
     out = []

@@ -171,12 +171,16 @@ class TestLagrange:
         assert code == 0
         assert out == "1,1,2,5,14,42\n"
 
-    def test_pole_reports_domain_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "lagrange", "--a", "1+x", "--beta", "-1", "--order", "5"
+    def test_removable_pole_is_computed(self, capsys):
+        # phi + beta n = 0 at n = 1 and at n = 2: both are removable
+        code, out, _ = run_cli(
+            capsys, "lagrange", "--a", "1+x", "--beta=-1", "--order", "5", "--format", "csv"
         )
-        assert code == 1
-        assert "pole" in err
+        assert (code, out) == (0, "1,1,-1,2,-5,14\n")
+        code, out, _ = run_cli(
+            capsys, "lagrange", "--a", "1+x", "--beta", "1", "--phi=-2", "--order", "5", "--format", "csv"
+        )
+        assert (code, out) == (0, "1,-2,1,0,0,0\n")
 
 
 class TestDirichlet:

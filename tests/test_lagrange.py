@@ -5,10 +5,9 @@ from math import comb
 import pytest
 
 import golden_data as gd
-from riordan_gep.errors import DegreeTooHigh, PoleAtCoefficient
+from riordan_gep.errors import DegreeTooHigh, OutOfRange
 from riordan_gep.gep import GepContext
 from riordan_gep.lagrange import (
-    LagrangeFamily,
     abeta_apply,
     abeta_matrix,
     diagonal_table,
@@ -54,31 +53,43 @@ class TestRationalBinomial:
 
 class TestLagrangeCoeffs:
     def test_beta_one_gives_geometric(self):
-        fam = LagrangeFamily(ONE_PLUS_X(10), 1, 10)
-        assert lagrange_coeffs(fam, 1) == geometric(10)
+        assert lagrange_coeffs(ONE_PLUS_X(10), 1, 10) == geometric(10)
 
     def test_beta_two_gives_catalan(self):
-        fam = LagrangeFamily(ONE_PLUS_X(10), 2, 10)
-        got = lagrange_coeffs(fam, 1)
+        got = lagrange_coeffs(ONE_PLUS_X(10), 2, 10)
         assert got.coeffs[:6] == (1, 1, 2, 5, 14, 42)
         assert got == catalan(10)
 
     def test_beta_zero_is_plain_power(self):
-        fam = LagrangeFamily(ONE_PLUS_X(8), 0, 8)
-        assert lagrange_coeffs(fam, F(3, 2)) == power(ONE_PLUS_X(8), F(3, 2))
+        assert lagrange_coeffs(ONE_PLUS_X(8), 0, 8, F(3, 2)) == power(ONE_PLUS_X(8), F(3, 2))
 
-    def test_pole_is_reported(self):
-        fam = LagrangeFamily(ONE_PLUS_X(8), -1, 8)
-        with pytest.raises(PoleAtCoefficient) as info:
-            lagrange_coeffs(fam, 1)
-        assert info.value.index == 1
+    def test_removable_pole_matches_closed_form(self):
+        # phi + beta n = 0 at n = 1; b = (1 + sqrt(1+4x)) / 2
+        got = lagrange_coeffs(ONE_PLUS_X(8), -1, 8)
+        assert got == lagrange_series(ONE_PLUS_X(8), -1, 8)
+        root = power(Series([1, 4], order=8), F(1, 2))
+        assert got == (Series.one(8) + root) * F(1, 2)
+
+    def test_removable_pole_is_the_power_of_the_series(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            order = rng.randint(1, 9)
+            a = Series([1] + [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(order)])
+            beta = F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+            phi = -beta * rng.randint(1, order)
+            assert lagrange_coeffs(a, beta, order, phi) == power(lagrange_series(a, beta, order), phi)
+
+    def test_preconditions(self):
+        with pytest.raises(OutOfRange, match="a\\(0\\) = 1"):
+            lagrange_coeffs(Series([2, 1], order=4), 1, 4)
+        with pytest.raises(OutOfRange, match="below requested order"):
+            lagrange_coeffs(ONE_PLUS_X(4), 1, 5)
 
     def test_power_formula_consistency(self):
         # phi-th power from the formula equals the power of the phi=1 series
-        fam = LagrangeFamily(ONE_PLUS_X(10), 2, 10)
-        base = lagrange_coeffs(fam, 1)
-        assert lagrange_coeffs(fam, 3) == power(base, 3)
-        assert lagrange_coeffs(fam, F(1, 2)) == power(base, F(1, 2))
+        base = lagrange_coeffs(ONE_PLUS_X(10), 2, 10)
+        assert lagrange_coeffs(ONE_PLUS_X(10), 2, 10, 3) == power(base, 3)
+        assert lagrange_coeffs(ONE_PLUS_X(10), 2, 10, F(1, 2)) == power(base, F(1, 2))
 
 
 class TestLagrangeSeries:
@@ -87,8 +98,7 @@ class TestLagrangeSeries:
         for beta in (1, 2, F(1, 2)):
             coeffs = [F(1)] + [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(10)]
             a = Series(coeffs)
-            fam = LagrangeFamily(a, beta, 10)
-            assert lagrange_series(a, beta, 10) == lagrange_coeffs(fam, 1)
+            assert lagrange_series(a, beta, 10) == lagrange_coeffs(a, beta, 10)
 
     def test_closed_forms_to_order_ten(self):
         order = 10
@@ -110,13 +120,13 @@ class TestFunctionalEquations:
         order = 10
         composed = compose(geometric(order), Series.x(order) * power(ONE_PLUS_X(order), -1))
         assert composed == ONE_PLUS_X(order)
-        assert check_functional_eq(LagrangeFamily(ONE_PLUS_X(order), 1, order))
+        assert check_functional_eq(ONE_PLUS_X(order), 1, order)
 
     def test_beta_zero_trivial(self):
-        assert check_functional_eq(LagrangeFamily(ONE_PLUS_X(8), 0, 8))
+        assert check_functional_eq(ONE_PLUS_X(8), 0, 8)
 
     def test_beta_minus_one(self):
-        assert check_functional_eq(LagrangeFamily(ONE_PLUS_X(12), -1, 12))
+        assert check_functional_eq(ONE_PLUS_X(12), -1, 12)
 
     def test_random_series_sweep(self):
         rng = random.Random(43)
@@ -124,7 +134,7 @@ class TestFunctionalEquations:
             coeffs = [F(1)] + [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(12)]
             a = Series(coeffs)
             for beta in (1, -1, 2, F(1, 2)):
-                assert check_functional_eq(LagrangeFamily(a, beta, 12))
+                assert check_functional_eq(a, beta, 12)
 
 
 class TestDiagonalTables:

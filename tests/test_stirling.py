@@ -8,7 +8,6 @@ from riordan_gep.errors import OutOfRange
 from riordan_gep.riordan import row_of_pair
 from riordan_gep.series import Poly, Series, log
 from riordan_gep.stirling import (
-    StirlingTable,
     additive_partitions,
     bell_partial,
     bell_partial_mult,
@@ -65,34 +64,19 @@ class TestStirlingNumbers:
                 s = sum(stirling1_signed(n, k) * stirling2(k, m) for k in range(m, n + 1))
                 assert s == (1 if n == m else 0)
 
+    def test_recurrences(self):
+        for n in range(1, 10):
+            for k in range(1, n):
+                assert stirling2(n, k) == k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+                assert stirling1_signed(n, k) == (
+                    stirling1_signed(n - 1, k - 1) - (n - 1) * stirling1_signed(n - 1, k)
+                )
+
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             stirling2(3, 4)
         with pytest.raises(OutOfRange):
             stirling1_signed(-1, 0)
-
-
-class TestStirlingTable:
-    def test_matches_functions(self):
-        t2 = StirlingTable(StirlingTable.SECOND, 10)
-        t1 = StirlingTable(StirlingTable.FIRST, 10)
-        for n in range(11):
-            for k in range(n + 1):
-                assert t2.value(n, k) == stirling2(n, k)
-                assert t1.value(n, k) == stirling1_signed(n, k)
-
-    def test_recurrences(self):
-        t2 = StirlingTable(StirlingTable.SECOND, 9)
-        t1 = StirlingTable(StirlingTable.FIRST, 9)
-        for n in range(1, 10):
-            for k in range(1, n):
-                assert t2.value(n, k) == k * t2.value(n - 1, k) + t2.value(n - 1, k - 1)
-                assert t1.value(n, k) == t1.value(n - 1, k - 1) - (n - 1) * t1.value(n - 1, k)
-
-    def test_bounds(self):
-        t = StirlingTable(StirlingTable.SECOND, 5)
-        with pytest.raises(OutOfRange):
-            t.value(6, 1)
 
 
 class TestAdditivePartitions:
