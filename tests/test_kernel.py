@@ -11,7 +11,13 @@ Fraction dot products of RMatrix.__mul__ and apply before their
 common-denominator kernel; the product of n linear factors per column
 that matrix_u_inv used before its column recurrence; and the binomial shift
 matrix between U_n and U_n^-1, two RMatrix products, that abeta_matrix used
-before it shifted the columns of U_n^-1.  Every comparison is exact equality.
+before it shifted the columns of U_n^-1.  The same references, with
+ref_exp(phi ref_log(a)) for fractional powers, check the O(n t) recurrences
+that reciprocal, log, exp and power run on operands with at most
+_SPARSE_TERMS nonzero terms past the constant, and a product counter pins
+which operands take them and which still run Newton; ref_product checks
+the product's trimming of trailing zeros and its one-term scalar path.
+Every comparison is exact equality.
 """
 
 import random
@@ -33,6 +39,7 @@ from riordan_gep.dirichlet import (
     divisors,
     factorize,
 )
+from riordan_gep.errors import ConstantTermNotOne, NonzeroConstantTerm, ZeroConstantTerm
 from riordan_gep.matrix import RMatrix
 from riordan_gep.riordan import _columns
 from riordan_gep.series import Poly, Series, exp, log, power, reciprocal
@@ -212,7 +219,9 @@ class TestNewton:
         assert log(Series([1])) == Series([0])
         assert exp(Series([0])) == Series([1])
 
-    @pytest.mark.parametrize("order", [1, 2, 3, 4, 7, 8, 33, 100])
+    # Orders up to _SPARSE_TERMS have at most that many terms past the
+    # constant, so they take the sparse recurrences; the larger ones run Newton.
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 7, 8, 9, 12, 16, 33, 100])
     def test_seeded_against_recurrences(self, order):
         rng = random.Random(f"newton:{order}")
         a = rand_series(rng, order, bits=20, den_bits=20)
@@ -250,6 +259,115 @@ class TestNewton:
         assert reciprocal(Series([a0] + cs)) == ref_reciprocal(Series([a0] + cs))
         assert log(Series([1] + cs)) == ref_log(Series([1] + cs))
         assert exp(Series([0] + cs)) == ref_exp(Series([0] + cs))
+
+
+# ---------------------------------------------------------------- sparse operands
+
+
+T = series._SPARSE_TERMS
+
+
+def ref_product(a, b, length: int) -> list:
+    out = [F(0)] * length
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < length:
+                out[i + j] += x * y
+    return out
+
+
+def ref_int_power(a: Series, e: int) -> Series:
+    out = Series.one(a.order)
+    for _ in range(abs(e)):
+        out = ref_mul(out, a)
+    return ref_reciprocal(out) if e < 0 else out
+
+
+def ref_frac_power(a: Series, phi) -> Series:
+    return ref_exp(ref_log(a) * phi)
+
+
+def with_terms(rng, order, t, a0):
+    """a_0 = a0 plus t nonzero seeded terms at distinct positions 1..order."""
+    cs = [F(0)] * (order + 1)
+    cs[0] = F(a0)
+    for k in rng.sample(range(1, order + 1), t):
+        cs[k] = rand_frac(rng) or F(1)
+    return Series(cs)
+
+
+def count_products(monkeypatch):
+    calls = []
+    product = series._product
+    monkeypatch.setattr(series, "_product", lambda *args: calls.append(1) or product(*args))
+    return calls
+
+
+class TestSparse:
+    @pytest.mark.parametrize("order, t", [(0, 0), (1, 0), (1, 1), (2, 2), (9, 0), (9, 3), (9, T), (9, T + 1),
+                                          (30, 1), (30, T), (30, T + 1), (80, 2), (80, T), (80, T + 1)])
+    def test_against_references(self, order, t):
+        rng = random.Random(f"sparse:{order}:{t}")
+        a = with_terms(rng, order, t, rand_frac(rng) or F(-5, 3))
+        assert reciprocal(a) == ref_reciprocal(a)
+        for e in (-3, -1, 0, 1, 2, 5):
+            assert power(a, e) == ref_int_power(a, e)
+        unit = with_terms(rng, order, t, 1)
+        assert log(unit) == ref_log(unit)
+        for phi in (F(1, 2), F(-1, 3), F(5, 3), F(-7, 2)):
+            assert power(unit, phi) == ref_frac_power(unit, phi)
+        nil = with_terms(rng, order, t, 0)
+        assert exp(nil) == ref_exp(nil)
+
+    def test_terms_beyond_the_order(self):
+        # x^5 enters the sums from n = 5 on; x^16 is cut by the truncation
+        a = Series([1, 0, 0, 0, 0, F(3, 2)] + [0] * 10 + [-2], order=12)
+        for e in (-2, 2, 3):
+            assert power(a, e) == ref_int_power(a, e)
+        assert power(a, F(-1, 3)) == ref_frac_power(a, F(-1, 3))
+        assert reciprocal(a) == ref_reciprocal(a) and log(a) == ref_log(a)
+        assert exp(a - 1) == ref_exp(a - 1)
+        assert power(Series([2, 0, 1], order=1), 3) == Series([8, 0])
+
+    def test_errors_are_unchanged(self):
+        with pytest.raises(ZeroConstantTerm):
+            power(Series([0, 1], order=5), -1)
+        with pytest.raises(ConstantTermNotOne):
+            power(Series([2, 1], order=5), F(1, 2))
+        with pytest.raises(ConstantTermNotOne):
+            log(Series([2, 1], order=5))
+        with pytest.raises(NonzeroConstantTerm):
+            exp(Series([1, 1], order=5))
+
+    def test_sparse_routes_make_no_product(self, monkeypatch):
+        calls = count_products(monkeypatch)
+        a = Series([1, F(-2, 3), 0, F(5, 7)], order=500)
+        reciprocal(a), log(a), exp(a - 1), power(a, F(2, 5)), power(a * 3, -3)
+        assert calls == []
+        power(a, 4)  # nonnegative integer powers square
+        assert len(calls) == 2
+
+    def test_dense_operands_run_newton(self, monkeypatch):
+        rng = random.Random(9)
+        a = with_terms(rng, 30, T + 1, 1)
+        calls = count_products(monkeypatch)
+        for f in (reciprocal, log, lambda s: exp(s - 1), lambda s: power(s, F(1, 3))):
+            calls.clear()
+            f(a)
+            assert len(calls) > 1
+
+    def test_product_trims_and_scales(self):
+        rng = random.Random(10)
+        for _ in range(200):
+            a = [rand_frac(rng) if rng.random() < 0.6 else F(0) for _ in range(rng.randint(1, 12))]
+            b = [rand_frac(rng) if rng.random() < 0.6 else F(0) for _ in range(rng.randint(1, 12))]
+            if rng.random() < 0.3:  # one term c x^k, possibly past the output
+                b = [F(0)] * rng.randint(0, 12) + [rand_frac(rng) or F(1)]
+            b += [F(0)] * rng.randint(0, 4)
+            for length in {1, len(a) + len(b) - 1, rng.randint(1, len(a) + len(b) - 1)}:
+                got = series._product(a, b, length)
+                assert got == ref_product(a, b, length) == series._product(b, a, length)
+                assert len(got) == length and all(type(c) is F for c in got)
 
 
 # ---------------------------------------------------------------- products by one
@@ -296,9 +414,7 @@ class TestProductsByOne:
         assert _columns(Series.one(f_order), g, 0) == []
 
     def test_no_product_by_one(self, monkeypatch):
-        calls = []
-        product = series._product
-        monkeypatch.setattr(series, "_product", lambda *args: calls.append(1) or product(*args))
+        calls = count_products(monkeypatch)
         g = Series([0, 1, F(2, 3)], order=6)
         power(g, 1)
         _columns(Series.one(4), g, 2)
