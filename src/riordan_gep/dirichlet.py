@@ -171,13 +171,6 @@ def dirichlet_exp(a: DirichletSeries) -> DirichletSeries:
     return DirichletSeries(out)
 
 
-def dirichlet_pow(a: DirichletSeries, phi) -> DirichletSeries:
-    """a^phi = exp(phi log a) for rational phi; requires a_1 = 1."""
-    phi = as_rational(phi)
-    la = dirichlet_log(a)
-    return dirichlet_exp(DirichletSeries([phi * c for c in la.coeffs]))
-
-
 def array_window(a: DirichletSeries, variant: str, rows: int, cols: int) -> RMatrix:
     """Window (rows 1..rows, columns k = 0..cols-1) of <a>, <a-1> or <log a>.
 
@@ -216,23 +209,6 @@ def dir_v_poly(a: DirichletSeries, n: int) -> Poly:
     return Poly(out)
 
 
-def dir_u_poly(a: DirichletSeries, n: int) -> Poly:
-    """The interpolation polynomial with u_n(m) = n! [a^m]_n.
-
-    Computed from the log coefficients by the Bell sum:
-    u_n = n! sum_m B~_{n,m}(b_2..b_n)/m! x^m with b = log a.
-    """
-    if n < 2:
-        raise OutOfRange("rows are defined for n >= 2")
-    b = dirichlet_log(a)
-    tail = b.coeffs[1:n]
-    out = [Fraction(0)]
-    fn = factorial(n)
-    for m in range(1, big_omega(n) + 1):
-        out.append(Fraction(fn, factorial(m)) * bell_partial_mult(n, m, tail))
-    return Poly(out)
-
-
 def dir_alpha_poly(a: DirichletSeries, n: int) -> Poly:
     """Numerator of row n of <a> over (1-x)^(Omega(n)+1): x V^-1 applied to v~_n."""
     if n < 2:
@@ -241,21 +217,6 @@ def dir_alpha_poly(a: DirichletSeries, n: int) -> Poly:
     v = dir_v_poly(a, n)
     vec = tuple(v.coeff(k) for k in range(1, omega + 1))
     return Poly(matrix_v_inv(omega).apply(vec)).shift_up(1)
-
-
-def dir_alpha_reversal(a: DirichletSeries, n: int) -> Poly:
-    """Numerator of row n of <a^-1>: (-1)^Omega(n) x Ihat alpha_n."""
-    omega = big_omega(n)
-    alpha = dir_alpha_poly(a, n)
-    return (alpha.reversed_to(omega) * ((-1) ** omega)).shift_up(1)
-
-
-def rising_factorial_poly(m: int) -> Poly:
-    """x(x+1)...(x+m-1); the empty product for m = 0."""
-    acc = Poly([1])
-    for i in range(m):
-        acc = acc * Poly([i, 1])
-    return acc
 
 
 def carlitz_hoggatt(r: int, p: int) -> Poly:
@@ -276,7 +237,3 @@ def carlitz_hoggatt(r: int, p: int) -> Poly:
             raise NotPolynomial(f"nonzero coefficient {k} above degree {deg}")
     return Poly([prod.coeff(k) for k in range(deg + 1)])
 
-
-def carlitz_hoggatt_at_one(r: int, p: int) -> Fraction:
-    """(p*r)! / (p!)^r, the coefficient sum of the Carlitz-Hoggatt polynomial."""
-    return Fraction(factorial(p * r), factorial(p) ** r)

@@ -19,6 +19,9 @@ Unary minus binds tighter than '^', so -x^2 parses as (-x)^2.  Exponents
 are rational scalars: x^2 and x^-2 are fine, fractional ones need parens
 as in (1+x)^(1/2), and x^2/4 is (x^2)/4.  '/' elsewhere is series
 division, which makes 3/4 evaluate to the constant 3/4.
+
+This module only reads expressions.  The minimal-parenthesis printer is
+routes.unparse, which the verify row "expression parser round trip" uses.
 """
 
 from __future__ import annotations
@@ -348,49 +351,3 @@ def _binary(node: Binary, lhs: Series, rhs: Series) -> Series:
     except RiordanGepError as exc:
         raise EvalError(node.right.span, str(exc)) from exc
 
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "pow": 3, "neg": 4}
-
-
-def unparse(node) -> str:
-    """Minimal-parenthesis text form; reparsing yields an equal AST."""
-
-    def wrap(child, min_prec):
-        text, prec = go(child)
-        return f"({text})" if prec < min_prec else text
-
-    def go(n):
-        if isinstance(n, Lit):
-            if n.value.denominator == 1:
-                return str(n.value), 5
-            return f"{n.value.numerator}/{n.value.denominator}", 2
-        if isinstance(n, Var):
-            return "x", 5
-        if isinstance(n, Unary):
-            return "-" + wrap(n.operand, _PREC["neg"]), _PREC["neg"]
-        if isinstance(n, Binary):
-            # walk the left spine of equal-precedence links in a loop, as
-            # eval_expr does, so that long chains need no recursion
-            p = _PREC[n.op]
-            chain = []
-            while isinstance(n, Binary) and _PREC[n.op] == p:
-                chain.append(n)
-                n = n.left
-            text = wrap(n, p)
-            for link in reversed(chain):
-                text += link.op + wrap(link.right, p + 1)  # - and / are left associative
-            return text, p
-        if isinstance(n, PowRational):
-            base = wrap(n.base, _PREC["neg"])  # bases tighter than ^ need no parens
-            e = n.exponent
-            if e.denominator == 1 and e >= 0:
-                return f"{base}^{e}", _PREC["pow"]
-            if e.denominator == 1:
-                return f"{base}^({e})", _PREC["pow"]
-            return f"{base}^({e.numerator}/{e.denominator})", _PREC["pow"]
-        if isinstance(n, Func):
-            inner = ",".join(go(a)[0] for a in n.args)
-            return f"{n.name}({inner})", 5
-        raise TypeError(f"not an expression node: {n!r}")
-
-    return go(node)[0]

@@ -25,7 +25,7 @@ from math import factorial
 
 from .errors import ConstantTermNotOne, InsufficientOrder, OutOfRange
 from .matrix import RMatrix
-from .series import Poly, Series, as_rational, binomial_poly, log, reciprocal
+from .series import Poly, Series, as_rational, binomial_poly, log
 
 
 class GepContext:
@@ -89,10 +89,6 @@ def eulerian_poly(n: int) -> Poly:
     for row in _eulerian_rows(n):
         pass
     return Poly(row)
-
-
-def eulerian_tilde(n: int) -> Poly:
-    return eulerian_poly(n).shift_down(1)
 
 
 @lru_cache(maxsize=None)
@@ -174,15 +170,6 @@ def _binomial_columns(n: int, sign: int) -> RMatrix:
     return RMatrix.from_cols([binomial_poly(n - p - 1, sign).shift_up(p).to_vector(n) for p in range(n)])
 
 
-def reversal(n: int, variant: str) -> RMatrix:
-    """Coefficient-reversal permutation: 'Ihat' is (n+1)x(n+1), 'Itilde' n x n."""
-    if variant == "Ihat":
-        return RMatrix.anti_identity(n + 1)
-    if variant == "Itilde":
-        return RMatrix.anti_identity(n)
-    raise OutOfRange(f"unknown reversal variant {variant!r}")
-
-
 def stirling_products(n: int):
     """(V_n U_n, U_n^-1 V_n^-1) in closed Stirling form.
 
@@ -204,24 +191,3 @@ def stirling_products(n: int):
         uv_cols.append(uv)
     return RMatrix.from_cols(vu_cols), RMatrix.from_cols(uv_cols)
 
-
-def convolution_numerator(k, n: int, star: bool = False) -> Poly:
-    """Numerator polynomial of row n of the quadratic convolution array.
-
-    Row n of (1/(1-x-k x^2), 1/(1-x-k x^2)) equals N_n(x)/(1-x)^(n+1);
-    N_n is row n of the companion array with second component
-    -k x^2/(1-x-k x^2).  With star=True the roles of the coefficients are
-    swapped: denominator 1 - k x - x^2, second component -x^2/(...).
-    """
-    from .riordan import row_of_pair
-
-    k = as_rational(k)
-    if star:
-        denom = Series([1, -k, -1], order=max(n, 2))
-        top = -1
-    else:
-        denom = Series([1, -1, -k], order=max(n, 2))
-        top = -k
-    f = reciprocal(denom)
-    g = f * Series([0, 0, top], order=max(n, 2))
-    return row_of_pair(f, g, n, n // 2 + 1)

@@ -1,20 +1,25 @@
-"""Riordan arrays in three flavors, plus the Pascal/shift/decimation operators.
+"""Riordan arrays in three flavors, their windows and the decimation operator.
 
 An ordinary array (f, g) with g(0) = 0 is lower triangular with column k
 generated by f*g^k.  A "square" array (b, a) with a(0) = 1 has infinite
-rows; only finite windows are ever materialized.  Exponential arrays are
-the diagonal factorial conjugation of ordinary ones.
+rows; only finite windows are ever materialized, one series product per
+column.  Exponential arrays are the diagonal factorial conjugation of
+ordinary ones.
+
+The Pascal powers, Toeplitz windows and row numerators that verify checks
+these windows against live in routes.py.  riordan_mul, which only verify
+calls, stays here because perfbench traces it as riordan.riordan_mul.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
-from .errors import InsufficientOrder, KindMismatch, NotPolynomial
+from .errors import InsufficientOrder, KindMismatch
 from .matrix import RMatrix
-from .series import Poly, Series, as_rational, binomial_poly, compose, power
+from .series import Poly, Series, compose, power
 
 
 class RiordanKind(enum.Enum):
@@ -79,14 +84,6 @@ def entry(A: RiordanArray, n: int, k: int) -> Fraction:
     return c
 
 
-def row(A: RiordanArray, n: int, cols: int) -> Poly:
-    p = row_of_pair(A.f, A.g, n, cols)
-    if A.kind is RiordanKind.EXPONENTIAL:
-        fn = factorial(n)
-        p = Poly([p.coeff(k) * Fraction(fn, factorial(k)) for k in range(cols)])
-    return p
-
-
 def window(A: RiordanArray, rows: int, cols: int) -> RMatrix:
     """Rows 0..rows-1 and columns 0..cols-1, read off the column series."""
     columns = _columns(A.f, A.g, cols)
@@ -109,17 +106,6 @@ def riordan_mul(A: RiordanArray, B: RiordanArray) -> RiordanArray:
     return RiordanArray(result_kind, f, g)
 
 
-def pascal_power(phi, size: int) -> RMatrix:
-    """Finite window of the phi-th Pascal power: entries C(n,k) * phi^(n-k)."""
-    phi = as_rational(phi)
-    return RMatrix(
-        [
-            [comb(n, k) * phi ** (n - k) if k <= n else 0 for k in range(size)]
-            for n in range(size)
-        ]
-    )
-
-
 def decimate(b: Series, m: int, rows: int, cols: int) -> RMatrix:
     """Window of the m-decimated Toeplitz array: entry (n,k) = b[m*n + m-1 - k].
 
@@ -139,18 +125,6 @@ def decimate(b: Series, m: int, rows: int, cols: int) -> RMatrix:
     return RMatrix(out)
 
 
-def toeplitz_window(coeffs: Poly | Series, rows: int, cols: int) -> RMatrix:
-    """Window of the multiplication operator (c(x), x): entry (i,j) = c_{i-j}."""
-    return RMatrix(
-        [[coeffs.coeff(i - j) if i >= j else 0 for j in range(cols)] for i in range(rows)]
-    )
-
-
-def geometric_negative_power(m: int, order: int) -> Series:
-    """(1-x)^(-m) truncated, m >= 0."""
-    return Series([comb(m - 1 + j, j) for j in range(order + 1)])
-
-
 def exp_conjugate(M: RMatrix) -> RMatrix:
     """Conjugate by the factorial diagonal: entry (n,k) scaled by n!/k!.
 
@@ -164,33 +138,3 @@ def exp_conjugate(M: RMatrix) -> RMatrix:
         ]
     )
 
-
-def exp_conjugate_inv(M: RMatrix) -> RMatrix:
-    """Inverse factorial conjugation: entry (n,k) scaled by k!/n!."""
-    return RMatrix(
-        [
-            [M[n, k] * Fraction(factorial(k), factorial(n)) for k in range(M.cols)]
-            for n in range(M.rows)
-        ]
-    )
-
-
-def row_numerator(A: RiordanArray, n: int) -> Poly:
-    """Numerator polynomial of row n of a square array (b, a).
-
-    Row n of (b, a) has generating function N(x)/(1-x)^(n+1) with
-    deg N <= n.  Computed by multiplying the row by (1-x)^(n+1) out to
-    2n+2 columns and checking that everything above degree n vanishes.
-    """
-    if A.kind is not RiordanKind.SQUARE:
-        raise KindMismatch("row numerator is defined for square arrays")
-    cols = 2 * n + 3
-    r = row(A, n, cols)
-    prod = r * binomial_poly(n + 1, -1)
-    for k in range(n + 1, cols):
-        if prod.coeff(k) != 0:
-            raise NotPolynomial(
-                f"row {n} numerator check failed at coefficient {k}; "
-                "is a(0) = 1 and the truncation order large enough?"
-            )
-    return Poly([prod.coeff(k) for k in range(n + 1)])

@@ -285,19 +285,27 @@ def exp(a: Series) -> Series:
 def power(a: Series, phi) -> Series:
     """a^phi for rational phi; fractional phi requires a(0) = 1.
 
-    For phi < 0 or fractional, a sparse a with a(0) != 0 takes the recurrence
-    n a_0 b_n = sum_k (k (phi + 1) - n) a_k b_(n-k).  Otherwise integer phi
-    multiplies by repeated squaring (of 1/a when phi < 0), and fractional
-    phi is exp(phi log a).
+    A sparse a with a(0) != 0 takes the recurrence
+    n a_0 b_n = sum_k (k (phi + 1) - n) a_k b_(n-k) for negative or
+    fractional phi.  Otherwise integer phi multiplies by repeated squaring
+    (of 1/a when phi < 0), and fractional phi is exp(phi log a).  For
+    integer phi >= 0, squaring beats the recurrence's Fraction steps while
+    a^phi stays below the order, since it then multiplies short polynomials.
+    Once a^phi reaches the order its products are full size, and the
+    recurrence wins if its t terms are few against the ~2 log2(phi) products
+    of squaring: 2 t < bit length of phi, the crossover measured at orders
+    30 to 1000.
     """
     phi = as_rational(phi)
     a0 = a.coeffs[0]
     if phi.denominator != 1 and a0 != 1:
         raise ConstantTermNotOne("fractional power needs constant term 1")
-    # phi >= 0 integer: squaring a sparse a multiplies short polynomials, which
-    # is faster than the recurrence's Fraction steps
-    terms = _sparse_terms(a) if a0 and (phi < 0 or phi.denominator != 1) else None
-    if terms is not None:
+    terms = _sparse_terms(a) if a0 else None
+    if terms is not None and (
+        phi < 0
+        or phi.denominator != 1
+        or terms and phi * terms[-1][0] >= a.order and 2 * len(terms) < phi.numerator.bit_length()
+    ):
         # b_0 = a_0^phi, and a_0 = 1 when phi is fractional
         return _recurrence(a, terms, a0**phi.numerator, phi + 1, 1, a0)
     if phi.denominator != 1:
@@ -355,10 +363,6 @@ class Poly:
 
     def __init__(self, coeffs=()):
         self.coeffs = tuple(as_rational(c) for c in coeffs)
-
-    @classmethod
-    def monomial(cls, k, c=1):
-        return cls([0] * k + [c])
 
     def degree(self) -> int:
         for i in range(len(self.coeffs) - 1, -1, -1):
@@ -448,11 +452,6 @@ class Poly:
             raise ValueError("degree exceeds reversal window")
         return Poly([self.coeff(n - i) for i in range(n + 1)])
 
-    def to_series(self, order: int) -> Series:
-        if self.degree() > order:
-            raise InsufficientOrder("polynomial degree exceeds requested order")
-        return Series(self.coeffs, order=order)
-
     def to_vector(self, length: int):
         from .errors import DegreeTooHigh
 
@@ -467,12 +466,3 @@ def binomial_poly(k: int, sign: int = 1) -> Poly:
     """(1 + sign*x)^k as a polynomial, k >= 0."""
     return Poly([comb(k, j) * (sign**j) for j in range(k + 1)])
 
-
-def geometric(order: int, ratio=1) -> Series:
-    """1/(1 - ratio*x) truncated."""
-    r = as_rational(ratio)
-    out, acc = [], _ONE
-    for _ in range(order + 1):
-        out.append(acc)
-        acc *= r
-    return Series(out)

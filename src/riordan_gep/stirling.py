@@ -1,9 +1,10 @@
-"""Stirling numbers, the factor sieve, partition enumeration and partial Bell sums.
+"""Stirling numbers, the factor sieve, decomposition enumeration and partial Bell sums.
 
-The Bell sums here use the plain multiplicity normalization
-    B_{n,m}(a) = sum m!/(m_1! ... m_n!) * a_1^{m_1} ... a_n^{m_n}
-over additive partitions (and the analogous B~ over multiplicative
-decompositions into factors >= 2); there is no a_i/i! weighting.
+The Bell sums use the plain multiplicity normalization
+    B~_{n,m}(a) = sum m!/(m_1! ... m_k!) * a_{d_1}^{m_1} ... a_{d_k}^{m_k}
+over the decompositions of n into m factors >= 2; there is no a_i/i!
+weighting.  The additive B_{n,m} over partitions of n, which only the
+verify rows use, is routes.bell_partial on the same _bell_sum.
 """
 
 from __future__ import annotations
@@ -101,28 +102,6 @@ def divisors(n: int) -> list:
     return out
 
 
-def additive_partitions(n: int, m: int):
-    """All partitions of n into exactly m parts >= 1, as {part: multiplicity}."""
-    out = []
-
-    def rec(remaining, parts_left, max_part, acc):
-        if parts_left == 0:
-            if remaining == 0:
-                out.append(dict(acc))
-            return
-        for p in range(min(max_part, remaining - parts_left + 1), 0, -1):
-            acc[p] = acc.get(p, 0) + 1
-            rec(remaining - p, parts_left - 1, p, acc)
-            if acc[p] == 1:
-                del acc[p]
-            else:
-                acc[p] -= 1
-
-    if n >= 1 and m >= 1:
-        rec(n, m, n, {})
-    return out
-
-
 def mult_decompositions(n: int, m: int):
     """All decompositions of n into exactly m factors >= 2, as {factor: multiplicity}.
 
@@ -181,19 +160,6 @@ def _bell_sum(partitions, a, offset):
             term *= a[part - offset] ** mult
         total += coeff * term
     return total
-
-
-def bell_partial(n: int, m: int, a) -> Fraction:
-    """Partial Bell sum over additive partitions of n into m parts.
-
-    `a` lists the values a_1..a_n, so a[0] is the index-1 entry.
-    """
-    if not (1 <= m <= n):
-        raise OutOfRange(f"bell_partial needs 1 <= m <= n, got ({n}, {m})")
-    if len(a) < n:
-        raise OutOfRange(f"need at least {n} coefficients, got {len(a)}")
-    a = [as_rational(v) for v in a]
-    return _bell_sum(additive_partitions(n, m), a, 1)
 
 
 def bell_partial_mult(n: int, m: int, a) -> Fraction:

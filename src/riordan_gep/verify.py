@@ -2,12 +2,16 @@
 
 Each check re-derives an identity with freshly generated random data (or
 fixed golden data) and compares by exact equality.  The CLI `verify`
-subcommand runs these and reports one line per check.
+subcommand runs these and reports one line per check; `w --check`
+reports w_check_rows.
 
-Constructors build each object one way; every comparison with another
-route (W three ways, A^beta three ways, the Stirling factorizations,
-alpha through V^-1, U and the row numerator) and every module identity
-lives here.
+Constructors build each object one way.  Every comparison with another
+route, and every module identity, lives here: W three ways, A^beta three
+ways, the Stirling factorizations, alpha through V^-1, U and the row
+numerator, and the rest of REGISTRY.  The other routes themselves are in
+routes.py, which only this module imports, except four that perfbench
+traces in their runtime modules: riordan.riordan_mul, wmatrix.w_alt_form,
+lagrange.lagrange_series and lagrange.log_abeta.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from . import dirichlet as ds
-from . import gep, lagrange, riordan, stirling, wmatrix
+from . import gep, lagrange, riordan, routes, stirling, wmatrix
 from .errors import OutOfRange
 from .matrix import RMatrix
 from .series import (
@@ -66,6 +70,11 @@ def _series_a1_nonzero(rng, order):
 
 def _cap(n, max_n):
     return min(n, max_n) if max_n else n
+
+
+def _apply(M: RMatrix, p: Poly) -> Poly:
+    """M applied to the coefficient column of p; DegreeTooHigh if p does not fit."""
+    return Poly(M.apply(p.to_vector(M.cols)))
 
 
 # ---------------------------------------------------------------- series
@@ -160,8 +169,8 @@ def check_pascal_group(rng, max_n):
     size = _cap(8, max_n)
     for _ in range(5):
         p, q = _frac(rng), _frac(rng)
-        lhs = riordan.pascal_power(p, size) * riordan.pascal_power(q, size)
-        if lhs != riordan.pascal_power(p + q, size):
+        lhs = routes.pascal_power(p, size) * routes.pascal_power(q, size)
+        if lhs != routes.pascal_power(p + q, size):
             return False
     return True
 
@@ -191,7 +200,7 @@ def check_shift_is_pascal_transpose(rng, max_n):
     shift = riordan.RiordanArray(
         riordan.RiordanKind.SQUARE, Series.one(order), Series([1, 1], order=order)
     )
-    return riordan.window(shift, size, size) == riordan.pascal_power(1, size).transpose()
+    return riordan.window(shift, size, size) == routes.pascal_power(1, size).transpose()
 
 
 def check_row_numerator(rng, max_n):
@@ -200,7 +209,7 @@ def check_row_numerator(rng, max_n):
     for _ in range(4):
         a = _series(rng, order, a0=1)
         A = riordan.RiordanArray(riordan.RiordanKind.SQUARE, Series.one(order), a)
-        num = riordan.row_numerator(A, n)
+        num = routes.row_numerator(A, n)
         if num.degree() > n:
             return False
         if num != gep.GepContext(a, n).alpha:
@@ -231,7 +240,7 @@ def check_v_is_bell(rng, max_n):
         a = _series(rng, order, a0=1)
         ctx = gep.GepContext(a, n)
         for m in range(1, n + 1):
-            if ctx.v.coeff(m) != stirling.bell_partial(n, m, a.coeffs[1 : n + 1]):
+            if ctx.v.coeff(m) != routes.bell_partial(n, m, a.coeffs[1 : n + 1]):
                 return False
     return True
 
@@ -243,7 +252,7 @@ def check_log_coeff_identity(rng, max_n):
         la = log(a)
         for p in range(1, p_top + 1):
             s = sum(
-                Fraction((-1) ** (m + 1), m) * stirling.bell_partial(p, m, a.coeffs[1 : p + 1])
+                Fraction((-1) ** (m + 1), m) * routes.bell_partial(p, m, a.coeffs[1 : p + 1])
                 for m in range(1, p + 1)
             )
             if s != la.coeff(p):
@@ -266,7 +275,7 @@ def check_u_bell_identity(rng, max_n):
         expected = Poly(
             [Fraction(0)]
             + [
-                Fraction(factorial(n), factorial(m)) * stirling.bell_partial(n, m, b.coeffs[1 : n + 1])
+                Fraction(factorial(n), factorial(m)) * routes.bell_partial(n, m, b.coeffs[1 : n + 1])
                 for m in range(1, n + 1)
             ]
         )
@@ -406,11 +415,11 @@ def _restrict(M: RMatrix, m: int, grow: bool = True, shrink: bool = True):
     n = M.rows
     k = n - m
     if shrink:
-        M = M * riordan.toeplitz_window(binomial_poly(m, -1), n, k)
+        M = M * routes.toeplitz_window(binomial_poly(m, -1), n, k)
     else:
         M = M.block(0, n, 0, k)
     if grow:
-        M = riordan.toeplitz_window(riordan.geometric_negative_power(m, n), n, n) * M
+        M = routes.toeplitz_window(routes.geometric_negative_power(m, n), n, n) * M
     if not M.block(k, n, 0, k).is_zero():
         return None
     return M.block(0, k, 0, k)
@@ -452,29 +461,44 @@ def check_v_action(rng, max_n):
 # -------------------------------------------------------------------- w
 
 
+def w_column_sums_ok(W: RMatrix, m: int) -> bool:
+    """Every column of W = W_(n,m) sums to m^n."""
+    return all(s == Fraction(m) ** W.rows for s in W.col_sums())
+
+
 def check_w_column_sums(rng, max_n):
     for n in range(1, _cap(10, max_n) + 1):
         for m in range(1, 6):
-            sums = wmatrix.w_matrix(n, m).matrix.col_sums()
-            if any(s != Fraction(m) ** n for s in sums):
+            if not w_column_sums_ok(wmatrix.w_matrix(n, m), m):
                 return False
     return True
 
 
-def w_routes_agree(w: wmatrix.WMatrix) -> bool:
-    """Decimation (w itself), U_n diag(m..m^n) U_n^-1 and V_n^-1 T^t V_n agree."""
-    n, m = w.n, w.m
+def w_routes_agree(W: RMatrix, m: int) -> bool:
+    """W = W_(n,m) by decimation, U_n diag(m..m^n) U_n^-1 and V_n^-1 T^t V_n agree."""
+    n = W.rows
     scale = RMatrix.diagonal([Fraction(m) ** (p + 1) for p in range(n)])
     by_conjugation = gep.matrix_u(n) * scale * gep.matrix_u_inv(n)
-    return w.matrix == by_conjugation == wmatrix.w_alt_form(n, m)
+    return W == by_conjugation == wmatrix.w_alt_form(n, m)
 
 
 def check_w_constructions(rng, max_n):
     for n in range(1, _cap(8, max_n) + 1):
         for m in range(1, 5):
-            if not w_routes_agree(wmatrix.w_matrix(n, m)):
+            if not w_routes_agree(wmatrix.w_matrix(n, m), m):
                 return False
     return True
+
+
+def w_check_rows(W: RMatrix, m: int) -> list:
+    """The report of `riordan-gep w --check` on W = W_(n,m): one
+    [suite, check, ok/FAIL, detail] row per check."""
+    checks = (
+        ("column sums are m^n", w_column_sums_ok(W, m)),
+        ("alternative construction agrees", w_routes_agree(W, m)),
+        ("multiplicativity/reversal/eigenvector", w_identities(W.rows, m, 2)),
+    )
+    return [["w", name, "ok" if ok else "FAIL", ""] for name, ok in checks]
 
 
 def w_identities(n: int, m: int, p: int) -> bool:
@@ -483,14 +507,14 @@ def w_identities(n: int, m: int, p: int) -> bool:
     W_(n,m) W_(n,p) = W_(n,mp);  W_(n,m) Itilde = Itilde W_(n,m);
     W_(n,m) A~_n = m^n A~_n.
     """
-    wm = wmatrix.w_matrix(n, m).matrix
-    wp = wmatrix.w_matrix(n, p).matrix
-    if wm * wp != wmatrix.w_matrix(n, m * p).matrix:
+    wm = wmatrix.w_matrix(n, m)
+    wp = wmatrix.w_matrix(n, p)
+    if wm * wp != wmatrix.w_matrix(n, m * p):
         return False
     rev = RMatrix.anti_identity(n)
     if wm * rev != rev * wm:
         return False
-    at = gep.eulerian_tilde(n).to_vector(n)
+    at = gep.eulerian_poly(n).shift_down(1).to_vector(n)
     expected = tuple(Fraction(m) ** n * c for c in at)
     return wm.apply(at) == expected
 
@@ -512,7 +536,7 @@ def w_restriction(n: int, m: int, p: int) -> bool:
         return True
     if not (1 <= p < n):
         raise OutOfRange("need 0 <= p < n")
-    return _restrict(wmatrix.w_matrix(n, m).matrix, p) == wmatrix.w_matrix(n - p, m).matrix
+    return _restrict(wmatrix.w_matrix(n, m), p) == wmatrix.w_matrix(n - p, m)
 
 
 def check_w_gep_semantics(rng, max_n):
@@ -521,7 +545,7 @@ def check_w_gep_semantics(rng, max_n):
         for m in (2, 3):
             a = _series(rng, 2 * n + 2, a0=1)
             alpha_t = gep.GepContext(a, n).alpha.shift_down(1)
-            moved = wmatrix.w_apply(wmatrix.w_matrix(n, m), alpha_t)
+            moved = _apply(wmatrix.w_matrix(n, m), alpha_t)
             direct = gep.GepContext(power(a, m), n).alpha.shift_down(1)
             if moved != direct:
                 return False
@@ -547,14 +571,14 @@ def abeta_routes_agree(n: int, beta) -> bool:
     """abeta_matrix, V_n^-1 D T^t D^-1 V_n and sum_{m<n} beta^m/m! (log A_n)^m agree."""
     beta, v = as_rational(beta), gep.matrix_v(n)
     by_dtilde = gep.matrix_v_inv(n) * RMatrix.from_cols(
-        lagrange.vtilde_transform(n, beta, Poly(v.column(j))).to_vector(n) for j in range(n)
+        routes.vtilde_transform(n, beta, Poly(v.column(j))).to_vector(n) for j in range(n)
     )
     gen = lagrange.log_abeta(n)
     by_log = term = RMatrix.identity(n)
     for m in range(1, n):
         term = term * gen
         by_log = by_log + term * (beta**m / factorial(m))
-    return lagrange.abeta_matrix(n, beta).matrix == by_dtilde == by_log
+    return lagrange.abeta_matrix(n, beta) == by_dtilde == by_log
 
 
 def check_abeta_constructions(rng, max_n):
@@ -568,8 +592,8 @@ def check_abeta_group_law(rng, max_n):
     for n in range(1, _cap(8, max_n) + 1):
         for _ in range(3):
             b1, b2 = _frac(rng, -3, 3, 3), _frac(rng, -3, 3, 3)
-            lhs = lagrange.abeta_matrix(n, b1).matrix * lagrange.abeta_matrix(n, b2).matrix
-            if lhs != lagrange.abeta_matrix(n, b1 + b2).matrix:
+            lhs = lagrange.abeta_matrix(n, b1) * lagrange.abeta_matrix(n, b2)
+            if lhs != lagrange.abeta_matrix(n, b1 + b2):
                 return False
     return True
 
@@ -600,7 +624,7 @@ def abeta_identities(n: int, beta) -> bool:
 def _abeta_scaled(k: int, k_beta: Fraction) -> RMatrix:
     """A_k^(k_beta / k).  Keyed by k*beta, so the restriction targets of every
     (n, beta) with the same n*beta are built once."""
-    return lagrange.abeta_matrix(k, k_beta / k).matrix
+    return lagrange.abeta_matrix(k, k_beta / k)
 
 
 def log_abeta_top_power(n: int) -> bool:
@@ -630,7 +654,7 @@ def check_abeta_gep_semantics(rng, max_n):
         for beta in (Fraction(1), Fraction(2), Fraction(1, 2)):
             a = _series(rng, 2 * n + 2, a0=1)
             alpha_t = gep.GepContext(a, n).alpha.shift_down(1)
-            moved = lagrange.abeta_apply(lagrange.abeta_matrix(n, beta), alpha_t)
+            moved = _apply(lagrange.abeta_matrix(n, beta), alpha_t)
             deformed = lagrange.lagrange_coeffs(a, beta, 2 * n + 2)
             direct = gep.GepContext(deformed, n).alpha.shift_down(1)
             if moved != direct:
@@ -682,8 +706,8 @@ def check_deformed_u_identity(rng, max_n):
 def check_gbs_closed_form(rng, max_n):
     for n in range(1, _cap(10, max_n) + 1):
         for beta in _BETAS:
-            closed = lagrange.gbs_alpha_closed_form(n, beta)
-            last = Poly(lagrange.abeta_matrix(n, beta).matrix.column(n - 1))
+            closed = routes.gbs_alpha_closed_form(n, beta)
+            last = Poly(lagrange.abeta_matrix(n, beta).column(n - 1))
             if closed != last.shift_up(1):
                 return False
     return True
@@ -704,8 +728,8 @@ def duality_check(n: int, beta) -> bool:
     rhs = Series([c * (-1) ** i for i, c in enumerate(rhs_base.coeffs)])
     if lhs != rhs:
         return False
-    left_poly = lagrange.gbs_alpha_closed_form(n, 1 - beta)
-    right_poly = lagrange.gbs_alpha_closed_form(n, beta).reversed_to(n).shift_up(1)
+    left_poly = routes.gbs_alpha_closed_form(n, 1 - beta)
+    right_poly = routes.gbs_alpha_closed_form(n, beta).reversed_to(n).shift_up(1)
     return left_poly == right_poly
 
 
@@ -723,12 +747,12 @@ def check_diagonal_tables(rng, max_n):
     bases = [Series([1, 1], order=cols + 2), _series(rng, cols + 2, a0=1)]
     for a in bases:
         for v in (1, 2, -1, -2):
-            lhs = lagrange.diagonal_table(a, Fraction(1), v, ks, cols)
-            rhs = lagrange.diagonal_table_direct(a, Fraction(1), v, ks, cols)
+            lhs = routes.diagonal_table(a, Fraction(1), v, ks, cols)
+            rhs = routes.diagonal_table_direct(a, Fraction(1), v, ks, cols)
             if lhs != rhs:
                 return False
-    lhs = lagrange.diagonal_table(Series([1, 1], order=cols + 2), Fraction(2), 1, ks, cols)
-    rhs = lagrange.diagonal_table_direct(Series([1, 1], order=cols + 2), Fraction(2), 1, ks, cols)
+    lhs = routes.diagonal_table(Series([1, 1], order=cols + 2), Fraction(2), 1, ks, cols)
+    rhs = routes.diagonal_table_direct(Series([1, 1], order=cols + 2), Fraction(2), 1, ks, cols)
     return lhs == rhs
 
 
@@ -751,7 +775,7 @@ def check_dirichlet_window_identities(rng, max_n):
                 return False
             # [x^j](1+x)^-k = C(-k, j)
             down = sum(
-                minus[n - 1, j] * lagrange.rational_binomial(-k, j) for j in range(omega + 1)
+                minus[n - 1, j] * routes.rational_binomial(-k, j) for j in range(omega + 1)
             )
             if down != inv[n - 1, k]:
                 return False
@@ -762,10 +786,10 @@ def check_zeta_u_product(rng, max_n):
     rows = _cap(64, max_n * 8 if max_n else 64)
     z = ds.DirichletSeries.zeta(rows)
     for n in range(2, rows + 1):
-        u = ds.dir_u_poly(z, n)
+        u = routes.dir_u_poly(z, n)
         expected = Poly([1])
         for _, mult in ds.factorize(n).items():
-            expected = expected * ds.rising_factorial_poly(mult) * Fraction(1, factorial(mult))
+            expected = expected * routes.rising_factorial_poly(mult) * Fraction(1, factorial(mult))
         if u != expected * factorial(n):
             return False
     return True
@@ -779,7 +803,7 @@ def check_dir_alpha_routes(rng, max_n):
         for n in range(2, rows + 1):
             # the u route: x (Omega!/n!) U applied to u~_n
             omega = ds.big_omega(n)
-            u = ds.dir_u_poly(base, n)
+            u = routes.dir_u_poly(base, n)
             ut = tuple(u.coeff(k) for k in range(1, omega + 1))
             scale = Fraction(factorial(omega), factorial(n))
             by_u = Poly([scale * c for c in gep.matrix_u(omega).apply(ut)]).shift_up(1)
@@ -806,7 +830,8 @@ def check_carlitz_values(rng, max_n):
     for p in range(1, 4):
         for r in range(1, 4):
             g = ds.carlitz_hoggatt(r, p)
-            if g(1) != ds.carlitz_hoggatt_at_one(r, p):
+            # the coefficient sum is (p r)! / (p!)^r
+            if g(1) != Fraction(factorial(p * r), factorial(p) ** r):
                 return False
             if not dir_palindromy_check(r, p):
                 return False
@@ -817,12 +842,12 @@ def check_carlitz_values(rng, max_n):
 
 
 def check_parser_roundtrip(rng, max_n):
-    from .expr import parse_expr, unparse
+    from .expr import parse_expr
 
     corpus = _expression_corpus()
     for text in corpus:
         ast = parse_expr(text)
-        if parse_expr(unparse(ast)) != ast:
+        if parse_expr(routes.unparse(ast)) != ast:
             return False
     return True
 

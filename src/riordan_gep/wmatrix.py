@@ -6,44 +6,26 @@ W_(n,m) is simultaneously
   * the conjugation U_n diag(m, m^2, ..., m^n) U_n^-1,
   * V_n^-1 T^t V_n with T the triangular array of ((1+x)^m - 1).
 Columns sum to m^n and the matrix commutes with the reversal Itilde_n.
-w_matrix builds the first form; verify compares it with the other two.
+w_matrix builds the first form.  verify compares it with the other two;
+w_alt_form, the third, stays here because perfbench traces it by module.
 """
 
 from __future__ import annotations
 
-from .errors import DegreeTooHigh, OutOfRange
+from .errors import OutOfRange
 from .gep import matrix_u, matrix_v, matrix_v_inv  # noqa: F401  perfbench's tracer test pins the matrix_u alias
 from .matrix import RMatrix
 from .riordan import RiordanArray, RiordanKind, decimate, window
 from .series import Poly, Series, binomial_poly, power
 
 
-class WMatrix:
-    __slots__ = ("n", "m", "matrix")
-
-    def __init__(self, n: int, m: int, matrix: RMatrix):
-        self.n = n
-        self.m = m
-        self.matrix = matrix
-
-    def __repr__(self):
-        return f"WMatrix(n={self.n}, m={self.m})"
-
-
-def w_matrix(n: int, m: int) -> WMatrix:
+def w_matrix(n: int, m: int) -> RMatrix:
     """Build W_(n,m) by decimation of the Toeplitz array of ((1-x^m)/(1-x))^(n+1)."""
     if n < 1 or m < 1:
         raise OutOfRange("need n >= 1 and m >= 1")
     # ((1-x^m)/(1-x))^(n+1); decimation reads coefficients up to m*n - 1 only
     ones = power(Series([1] * m, order=m * n - 1), n + 1)
-    return WMatrix(n, m, decimate(ones, m, n, n))
-
-
-def w_apply(W: WMatrix, alpha_tilde: Poly) -> Poly:
-    """alpha~ of a^m from alpha~ of a."""
-    if alpha_tilde.degree() >= W.n:
-        raise DegreeTooHigh(f"polynomial degree must be < {W.n}")
-    return Poly(W.matrix.apply(alpha_tilde.to_vector(W.n)))
+    return decimate(ones, m, n, n)
 
 
 def w_alt_form(n: int, m: int) -> RMatrix:

@@ -2,16 +2,42 @@
 
 Matrices are written exactly as displayed in the tables they reproduce;
 scaling factors are kept explicit so entries stay integers where the
-source keeps them integer.
+source keeps them integer.  The functions at the top build reference
+series and rows that several test modules compare with.
 """
 
 from fractions import Fraction as F
 
 from riordan_gep.matrix import RMatrix
+from riordan_gep.riordan import row_of_pair
+from riordan_gep.series import Series, reciprocal
 
 
 def scaled(num, den, rows):
     return RMatrix([[F(num * e, den) for e in row] for row in rows])
+
+
+def geometric(order):
+    """1/(1-x) truncated."""
+    return Series([1] * (order + 1))
+
+
+def convolution_numerator(k, n, star=False):
+    """Numerator polynomial of row n of the quadratic convolution array.
+
+    Row n of (1/(1-x-k x^2), 1/(1-x-k x^2)) equals N_n(x)/(1-x)^(n+1);
+    N_n is row n of the companion array with second component
+    -k x^2/(1-x-k x^2).  With star=True the roles of the coefficients are
+    swapped: denominator 1 - k x - x^2, second component -x^2/(...).
+    """
+    k = F(k)
+    order = max(n, 2)
+    if star:
+        denom, top = Series([1, -k, -1], order=order), -1
+    else:
+        denom, top = Series([1, -1, -k], order=order), -k
+    f = reciprocal(denom)
+    return row_of_pair(f, f * Series([0, 0, top], order=order), n, n // 2 + 1)
 
 
 U2 = scaled(1, 2, [[1, 1], [-1, 1]])

@@ -352,7 +352,7 @@ else:
 print(json.dumps([code, out.getvalue(), sorted(sys.modules)]))
 """
 
-DOMAIN = ("dirichlet", "gep", "lagrange", "riordan", "stirling", "wmatrix", "verify")
+DOMAIN = ("dirichlet", "gep", "lagrange", "riordan", "stirling", "wmatrix", "verify", "routes")
 
 
 def _run_fresh(*args):
@@ -380,16 +380,19 @@ def test_plain_commands_do_not_import_verify(capsys):
         ([], DOMAIN + ("expr",)),
         (["series", "eval", "x/(1-x)"], DOMAIN),
         (["dirichlet", "table", "--preset", "zeta-log", "--rows", "8"],
-         ("expr", "verify", "lagrange", "riordan", "wmatrix")),
-        (["dirichlet", "g", "--p", "2", "--r", "2"], ("expr", "verify", "riordan")),
-        (["euler", "--n", "5"], ("expr", "verify", "dirichlet", "lagrange", "riordan", "stirling", "wmatrix")),
-        (["gep", "matrix", "U", "--n", "4"], ("expr", "verify", "dirichlet", "lagrange", "riordan", "wmatrix")),
-        (["gep", "alpha", "--a", "exp(x)", "--n", "4"], ("verify", "dirichlet", "lagrange", "wmatrix")),
+         ("expr", "verify", "routes", "lagrange", "riordan", "wmatrix")),
+        (["dirichlet", "g", "--p", "2", "--r", "2"], ("expr", "verify", "routes", "riordan")),
+        (["euler", "--n", "5"],
+         ("expr", "verify", "routes", "dirichlet", "lagrange", "riordan", "stirling", "wmatrix")),
+        (["gep", "matrix", "U", "--n", "4"],
+         ("expr", "verify", "routes", "dirichlet", "lagrange", "riordan", "wmatrix")),
+        (["gep", "alpha", "--a", "exp(x)", "--n", "4"], ("verify", "routes", "dirichlet", "lagrange", "wmatrix")),
         (["riordan", "table", "--f", "exp(x)", "--g", "x", "--kind", "exp", "--rows", "4"],
-         ("verify", "dirichlet", "gep", "lagrange", "stirling", "wmatrix")),
-        (["abeta", "--n", "4", "--beta", "1/2"], ("expr", "verify", "dirichlet", "riordan", "wmatrix")),
-        (["w", "--n", "3", "--m", "2"], ("expr", "verify", "dirichlet", "lagrange")),
-        (["lagrange", "--a", "1+x", "--beta", "1/2", "--order", "5"], ("verify", "dirichlet", "riordan", "wmatrix")),
+         ("verify", "routes", "dirichlet", "gep", "lagrange", "stirling", "wmatrix")),
+        (["abeta", "--n", "4", "--beta", "1/2"], ("expr", "verify", "routes", "dirichlet", "riordan", "wmatrix")),
+        (["w", "--n", "3", "--m", "2"], ("expr", "verify", "routes", "dirichlet", "lagrange")),
+        (["lagrange", "--a", "1+x", "--beta", "1/2", "--order", "5"],
+         ("verify", "routes", "dirichlet", "riordan", "wmatrix")),
         (["w", "--n", "3", "--m", "2", "--check"], ("expr",)),
     ]
     for argv, absent in cases:

@@ -14,9 +14,9 @@ from riordan_gep.expr import (
     Var,
     eval_expr,
     parse_expr,
-    unparse,
 )
 from riordan_gep.series import Series
+from riordan_gep.routes import unparse
 from riordan_gep.verify import _expression_corpus
 
 

@@ -344,8 +344,36 @@ class TestSparse:
         a = Series([1, F(-2, 3), 0, F(5, 7)], order=500)
         reciprocal(a), log(a), exp(a - 1), power(a, F(2, 5)), power(a * 3, -3)
         assert calls == []
-        power(a, 4)  # nonnegative integer powers square
+        power(a, 4)  # nonnegative integer powers within the order square
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("tail, phi", [((0, 0, F(-5, 7)), 4), ((0, 0, F(-5, 7)), 12),
+                                           ((F(1, 2), 0, F(-5, 7)), 40)])
+    def test_integer_power_at_and_past_the_order(self, monkeypatch, tail, phi):
+        # a^phi has degree 3 phi: below order 3 phi squaring multiplies short
+        # polynomials; from there on its products are full size, so the
+        # recurrence runs
+        calls = count_products(monkeypatch)
+        for a0 in (1, F(-2, 3)):
+            for order, squares in ((3 * phi + 1, True), (3 * phi, False), (3 * phi - 1, False)):
+                a = Series((a0,) + tail, order=order)
+                want = ref_power(a, phi)
+                calls.clear()
+                assert power(a, phi) == want
+                assert bool(calls) is squares, (a0, order)
+
+    def test_many_terms_and_a_small_power_still_square(self, monkeypatch):
+        # 6 terms against phi = 6: squaring is cheaper even past the order
+        a = Series([1, 1, 1, 1, 1, 1, 1], order=20)
+        want = ref_power(a, 6)
+        calls = count_products(monkeypatch)
+        assert power(a, 6) == want and calls
+
+    def test_zero_constant_term_still_squares(self, monkeypatch):
+        a = Series([0, 1, F(2, 3)], order=9)  # no recurrence without a_0
+        want = ref_power(a, 7)
+        calls = count_products(monkeypatch)
+        assert power(a, 7) == want and calls
 
     def test_dense_operands_run_newton(self, monkeypatch):
         rng = random.Random(9)
@@ -678,7 +706,7 @@ class TestMatrix:
             assert u * ui == ref_matmul(u, ui) == RMatrix.identity(n)
             assert v * u == ref_matmul(v, u)
             assert ui * vi == ref_matmul(ui, vi)
-            alpha = gep.eulerian_tilde(n).to_vector(n)
+            alpha = gep.eulerian_poly(n).shift_down(1).to_vector(n)
             assert u.apply(alpha) == ref_apply(u, alpha)
 
 
@@ -757,7 +785,7 @@ class TestShiftedColumns:
         rng = random.Random(29)
         for n in range(1, 25):
             for beta in wide_betas(rng):
-                got = abeta_matrix(n, beta).matrix
+                got = abeta_matrix(n, beta)
                 assert got == ref_abeta_matrix(n, beta), (n, beta)
                 assert all_fractions(e for row in got.entries for e in row)
 

@@ -5,23 +5,21 @@ from math import comb
 import pytest
 
 import golden_data as gd
+from golden_data import geometric
 from riordan_gep.errors import DegreeTooHigh, OutOfRange
 from riordan_gep.gep import GepContext
-from riordan_gep.lagrange import (
-    abeta_apply,
-    abeta_matrix,
+from riordan_gep.lagrange import abeta_matrix, lagrange_coeffs, lagrange_series, log_abeta
+from riordan_gep.matrix import RMatrix
+from riordan_gep.series import Poly, Series, compose, power
+from riordan_gep.routes import (
     diagonal_table,
     diagonal_table_direct,
     gbs_alpha_closed_form,
-    lagrange_coeffs,
-    lagrange_series,
-    log_abeta,
     rational_binomial,
     vtilde_transform,
 )
-from riordan_gep.matrix import RMatrix
-from riordan_gep.series import Poly, Series, compose, geometric, power
 from riordan_gep.verify import (
+    _apply,
     abeta_identities,
     abeta_routes_agree,
     check_functional_eq,
@@ -30,6 +28,10 @@ from riordan_gep.verify import (
 )
 
 ONE_PLUS_X = lambda order: Series([1, 1], order=order)
+
+
+def monomial(k):
+    return Poly([1]).shift_up(k)
 
 
 def catalan(order):
@@ -167,19 +169,19 @@ class TestDiagonalTables:
 
 class TestABetaMatrix:
     def test_unit_beta_displays(self):
-        assert abeta_matrix(2, 1).matrix == gd.A2
-        assert abeta_matrix(3, 1).matrix == gd.A3
-        assert abeta_matrix(4, 1).matrix == gd.A4
+        assert abeta_matrix(2, 1) == gd.A2
+        assert abeta_matrix(3, 1) == gd.A3
+        assert abeta_matrix(4, 1) == gd.A4
 
     def test_inverse_displays(self):
-        assert abeta_matrix(2, -1).matrix == gd.A2_INV
-        assert abeta_matrix(3, -1).matrix == gd.A3_INV
-        assert abeta_matrix(4, -1).matrix == gd.A4_INV
+        assert abeta_matrix(2, -1) == gd.A2_INV
+        assert abeta_matrix(3, -1) == gd.A3_INV
+        assert abeta_matrix(4, -1) == gd.A4_INV
 
     def test_half_beta_displays(self):
-        assert abeta_matrix(2, F(1, 2)).matrix == gd.A2_HALF
-        assert abeta_matrix(3, F(1, 2)).matrix == gd.A3_HALF
-        assert abeta_matrix(4, F(1, 2)).matrix == gd.A4_HALF
+        assert abeta_matrix(2, F(1, 2)) == gd.A2_HALF
+        assert abeta_matrix(3, F(1, 2)) == gd.A3_HALF
+        assert abeta_matrix(4, F(1, 2)) == gd.A4_HALF
 
     def test_constructions_agree(self):
         for n in range(1, 9):
@@ -188,15 +190,15 @@ class TestABetaMatrix:
 
     def test_zero_beta_is_identity(self):
         for n in (1, 3, 5):
-            assert abeta_matrix(n, 0).matrix == RMatrix.identity(n)
+            assert abeta_matrix(n, 0) == RMatrix.identity(n)
 
     def test_group_law(self):
         rng = random.Random(53)
         for n in range(1, 9):
             b1 = F(rng.randint(-3, 3), rng.randint(1, 3))
             b2 = F(rng.randint(-3, 3), rng.randint(1, 3))
-            lhs = abeta_matrix(n, b1).matrix * abeta_matrix(n, b2).matrix
-            assert lhs == abeta_matrix(n, b1 + b2).matrix
+            lhs = abeta_matrix(n, b1) * abeta_matrix(n, b2)
+            assert lhs == abeta_matrix(n, b1 + b2)
 
     def test_log_generator_displays(self):
         assert log_abeta(2) == gd.LOG_A2
@@ -223,25 +225,25 @@ class TestABetaMatrix:
 class TestABetaApply:
     def test_zero_beta_identity(self):
         p = Poly([3, 1, 4])
-        assert abeta_apply(abeta_matrix(3, 0), p) == p
+        assert _apply(abeta_matrix(3, 0), p) == p
 
     def test_last_column_is_deformed_alpha(self):
         # alpha~ of 1+x is x^(n-1); its image is the last matrix column
         for n in range(1, 8):
             for beta in (1, 2, F(1, 2)):
                 A = abeta_matrix(n, beta)
-                got = abeta_apply(A, Poly.monomial(n - 1))
-                assert got == Poly(A.matrix.column(n - 1))
+                got = _apply(A, monomial(n - 1))
+                assert got == Poly(A.column(n - 1))
 
     def test_even_half_beta_column(self):
         for k in (1, 2, 3):
             A = abeta_matrix(2 * k, F(1, 2))
-            got = abeta_apply(A, Poly.monomial(2 * k - 1))
+            got = _apply(A, monomial(2 * k - 1))
             assert got == (Poly([1, 1]) * F(1, 2)).shift_up(k - 1)
 
     def test_degree_bound(self):
         with pytest.raises(DegreeTooHigh):
-            abeta_apply(abeta_matrix(2, 1), Poly([0, 0, 1]))
+            _apply(abeta_matrix(2, 1), Poly([0, 0, 1]))
 
     def test_matches_deformed_series_pipeline(self):
         rng = random.Random(59)
@@ -252,7 +254,7 @@ class TestABetaApply:
                 ]
                 a = Series(coeffs)
                 alpha_t = GepContext(a, n).alpha.shift_down(1)
-                moved = abeta_apply(abeta_matrix(n, beta), alpha_t)
+                moved = _apply(abeta_matrix(n, beta), alpha_t)
                 deformed = lagrange_series(a, beta, 2 * n + 2)
                 assert moved == GepContext(deformed, n).alpha.shift_down(1)
 
@@ -261,7 +263,7 @@ class TestClosedForm:
     def test_special_betas(self):
         for n in range(1, 9):
             assert gbs_alpha_closed_form(n, 1) == Poly([0, 1])
-            assert gbs_alpha_closed_form(n, 0) == Poly.monomial(n)
+            assert gbs_alpha_closed_form(n, 0) == monomial(n)
         for k in range(1, 5):
             assert gbs_alpha_closed_form(2 * k, F(1, 2)) == (
                 Poly([1, 1]) * F(1, 2)
@@ -271,13 +273,13 @@ class TestClosedForm:
         for n in range(1, 11):
             for beta in (1, -1, 2, F(1, 2), F(2, 3)):
                 closed = gbs_alpha_closed_form(n, beta)
-                last = Poly(abeta_matrix(n, beta).matrix.column(n - 1))
+                last = Poly(abeta_matrix(n, beta).column(n - 1))
                 assert closed == last.shift_up(1)
 
 
 class TestVTilde:
     def test_unit_beta_cubic(self):
-        got = vtilde_transform(3, 1, Poly.monomial(2))
+        got = vtilde_transform(3, 1, monomial(2))
         assert got == Poly([1, 2, 1])
 
     def test_zero_beta_identity(self):
@@ -309,7 +311,7 @@ class TestVTilde:
         # for a = 1+x: coefficient m of the deformed v~ is ((m+1)/n) C(n beta, n-m-1)
         for n in (2, 3, 5):
             for beta in (1, 2, F(1, 2)):
-                got = vtilde_transform(n, beta, Poly.monomial(n - 1))
+                got = vtilde_transform(n, beta, monomial(n - 1))
                 expected = Poly(
                     [
                         F(m + 1, n) * rational_binomial(n * beta, n - m - 1)

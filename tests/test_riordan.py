@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction as F
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 import golden_data as gd
+from golden_data import geometric
 from riordan_gep.errors import InsufficientOrder, KindMismatch
 from riordan_gep.matrix import RMatrix
 from riordan_gep.riordan import (
@@ -13,14 +14,12 @@ from riordan_gep.riordan import (
     decimate,
     entry,
     exp_conjugate,
-    exp_conjugate_inv,
-    pascal_power,
     riordan_mul,
-    row,
-    row_numerator,
+    row_of_pair,
     window,
 )
-from riordan_gep.series import Series, exp, geometric, reciprocal
+from riordan_gep.series import Series, exp, reciprocal
+from riordan_gep.routes import pascal_power, row_numerator
 
 ORD = RiordanKind.ORDINARY
 SQ = RiordanKind.SQUARE
@@ -78,21 +77,21 @@ def test_exponential_pascal():
 
 def test_shift_square_rows():
     arr = RiordanArray(SQ, Series.one(8), Series([1, 1], order=8))
-    assert row(arr, 2, 5).coeffs == tuple(map(F, (0, 0, 1, 3, 6)))
+    assert row_of_pair(arr.f, arr.g, 2, 5).coeffs == tuple(map(F, (0, 0, 1, 3, 6)))
     assert window(arr, 4, 4) == gd.SHIFT_SQUARE
 
 
 def test_fibonacci_square_row():
     f = reciprocal(Series([1, -1, -1], order=10))
     arr = RiordanArray(SQ, f, f)
-    assert row(arr, 3, 5).coeffs == tuple(map(F, (3, 10, 22, 40, 65)))
+    assert row_of_pair(arr.f, arr.g, 3, 5).coeffs == tuple(map(F, (3, 10, 22, 40, 65)))
     assert window(arr, 5, 5) == gd.FIB_SQUARE
 
 
 def test_identity_array_rows():
     ident = RiordanArray(ORD, Series.one(8), Series.x(8))
     for n in range(5):
-        r = row(ident, n, 6)
+        r = row_of_pair(ident.f, ident.g, n, 6)
         assert r.degree() == n and r.coeff(n) == 1
 
 
@@ -181,7 +180,9 @@ class TestExpConjugation:
 
     def test_round_trip(self):
         m = RMatrix([[1, 2], [3, 4]])
-        assert exp_conjugate_inv(exp_conjugate(m)) == m
+        c = exp_conjugate(m)
+        # the inverse conjugation scales entry (n, k) by k!/n!
+        assert RMatrix([[c[n, k] * F(factorial(k), factorial(n)) for k in range(2)] for n in range(2)]) == m
 
 
 def _random_series(rng, order, first=None):

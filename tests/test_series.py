@@ -12,13 +12,13 @@ from riordan_gep.errors import (
     NotInvertibleForComposition,
     ZeroConstantTerm,
 )
+from golden_data import geometric
 from riordan_gep.series import (
     Poly,
     Series,
     compose,
     derivative,
     exp,
-    geometric,
     log,
     power,
     reciprocal,
