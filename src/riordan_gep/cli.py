@@ -1,9 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 domain error (bad series for the requested
-operation, order cap exceeded), 2 usage error.  Output formats:
-pretty (default), csv, json.  The environment variable
-RIORDAN_GEP_MAX_ORDER (default 4096) bounds every requested order/size.
+Exit codes: 0 success; 1 domain error (bad series for the requested
+operation, order cap exceeded) or a check report with a FAIL row; 2 usage
+error, also for a RIORDAN_GEP_MAX_ORDER (default 4096, the bound on every
+requested order/size) that is not a nonnegative integer.  Output formats:
+pretty (default), csv, json.
 Output numbers have no digit cap: main lifts Python's int-to-str limit
 while it renders, and only then.
 
@@ -22,7 +23,7 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import EvalError, ParseError, RiordanGepError
-from .output import OutputDoc, matrix_doc, poly_doc, series_doc, verify_doc
+from .output import OutputDoc, matrix_doc, poly_doc, series_doc
 from .series import Series
 
 DEFAULT_ORDER = 16
@@ -37,9 +38,13 @@ class LimitExceeded(RiordanGepError):
 def _max_order() -> int:
     raw = os.environ.get("RIORDAN_GEP_MAX_ORDER", "4096")
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        return 4096
+        cap = -1
+    if cap < 0:  # a usage error, reported as argparse reports one, in one line
+        print(f"error: RIORDAN_GEP_MAX_ORDER must be a nonnegative integer, got {raw!r}", file=sys.stderr)
+        raise SystemExit(2)
+    return cap
 
 
 def _check_limit(value: int, what: str) -> int:
@@ -225,6 +230,8 @@ def _dispatch(args):
         from . import dirichlet as ds
 
         if args.dirichlet_command == "g":
+            # it expands the sum it truncates to order 2(pr+1)
+            _check_limit(2 * (args.p * args.r + 1), "series order")
             return partial(poly_doc, ds.carlitz_hoggatt(args.r, args.p))
         rows = _check_limit(args.rows, "rows")
         cols = _check_limit(args.cols, "cols")
@@ -240,7 +247,7 @@ def _dispatch(args):
     if args.command == "verify":
         from .verify import run_suites
 
-        return partial(verify_doc, run_suites(args.suite, seed=args.seed, max_n=args.max_n))
+        return partial(OutputDoc, "VerifyReport", run_suites(args.suite, seed=args.seed, max_n=args.max_n))
 
     raise AssertionError(f"unhandled command {args.command!r}")
 
@@ -248,6 +255,7 @@ def _dispatch(args):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _max_order()  # a bad cap fails every command, also one that sets no limit
     try:
         to_doc = _dispatch(args)
     except (RiordanGepError, ParseError, EvalError) as exc:
@@ -266,7 +274,7 @@ def main(argv=None) -> int:
         if limit:
             sys.set_int_max_str_digits(limit)
     sys.stdout.write(text)
-    if args.command == "verify" and any(row[2] != "ok" for row in doc.entries):
+    if doc.kind == "VerifyReport" and any(row[2] != "ok" for row in doc.entries):
         return 1
     return 0
 

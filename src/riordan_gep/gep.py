@@ -5,12 +5,12 @@ are attached:
 
   v_n(x)      row n of the square array (1, a-1); coefficient m is
               [x^n](a-1)^m.
-  u_n(x)      row n of the exponential array (1, log a); coefficient m
-              is (n!/m!) [x^n](log a)^m, and u_n(m) = n! [x^n]a^m for
-              every integer m.
   alpha_n(x)  the numerator of row n of (1, a):
               row-gf = alpha_n(x) / (1-x)^(n+1), computed as
               alpha_n = sum_m v_{n,m} x^m (1-x)^(n-m).
+  u_n(x)      row n of the exponential array (1, log a); coefficient m
+              is (n!/m!) [x^n](log a)^m, and u_n(m) = n! [x^n]a^m for
+              every integer m.  Computed as x U_n^-1 alpha~.
 
 The transform matrices U_n, U_n^-1, V_n, V_n^-1 act on the coefficient
 columns of the reduced polynomials u~ = u/x, alpha~ = alpha/x, v~ = v/x
@@ -25,15 +25,16 @@ from math import factorial
 
 from .errors import ConstantTermNotOne, InsufficientOrder, OutOfRange
 from .matrix import RMatrix
-from .series import Poly, Series, as_rational, binomial_poly, log
+from .series import Poly, Series, as_rational, binomial_poly
 
 
 class GepContext:
     """A series a (a(0) = 1, order >= n) together with its row polynomials.
 
-    Only a truncated to order n is read.  v_n is row n of (1, a-1) and u_n,
-    scaled by n!/m! in coefficient m, is row n of (1, log a); both come off
-    the column loop of riordan.row_of_pair.  alpha_n is convolved from v_n.
+    Only a truncated to order n is read.  v_n is row n of (1, a-1), off the
+    column loop of riordan.row_of_pair; alpha_n is convolved from v_n, and
+    u_n is x U_n^-1 alpha~ with the cached U_n^-1.  The verify row
+    "U u~ = alpha~ and V alpha~ = v~" compares u with row n of (1, log a).
     """
 
     __slots__ = ("a", "n", "u", "v", "alpha")
@@ -47,15 +48,11 @@ class GepContext:
             raise InsufficientOrder(f"order {n} required for n={n}, series has order {a.order}")
         from .riordan import row_of_pair
 
-        an = a.truncate(n)
-        one = Series.one(n)
-        fn = factorial(n)
-        u = row_of_pair(one, log(an), n, n + 1)
         self.a = a
         self.n = n
-        self.v = row_of_pair(one, an - 1, n, n + 1)
-        self.u = Poly([Fraction(fn, factorial(m)) * c for m, c in enumerate(u.coeffs)])
+        self.v = row_of_pair(Series.one(n), a.truncate(n) - 1, n, n + 1)
         self.alpha = _alpha_from_v(self.v, n)
+        self.u = Poly(matrix_u_inv(n).apply(self.alpha.shift_down(1).to_vector(n))).shift_up(1)
 
 
 def _alpha_from_v(v: Poly, n: int) -> Poly:

@@ -3,7 +3,8 @@
 The JSON form is {"kind": ..., "n"/"rows"/"cols" when relevant,
 "entries": [[str]]} and round-trips losslessly.  A VerifyReport row is
 [suite, check, "ok" | "FAIL", detail], the detail being why a check failed
-(empty when it passed or merely returned false).
+(empty when it passed or merely returned false); verify._row makes every
+such row.
 """
 
 from __future__ import annotations
@@ -147,8 +148,3 @@ def matrix_doc(m: RMatrix, n: int | None = None) -> OutputDoc:
         rows=m.rows,
         cols=m.cols,
     )
-
-
-def verify_doc(results) -> OutputDoc:
-    entries = [[r.suite, r.name, "ok" if r.ok else "FAIL", r.detail] for r in results]
-    return OutputDoc(kind="VerifyReport", entries=entries)

@@ -5,10 +5,12 @@ constructions, and the references verify compares with, live here:
 Pascal powers, Toeplitz windows and the row numerators of square arrays;
 the additive partial Bell sums; the closed binomial form of alpha_n for
 1+x, the v~ transform D T^t D^-1 and the diagonal tables of the Lagrange
-deformation; the Dirichlet u rows from Bell sums of log a; and the
-minimal-parenthesis printer of expr ASTs.  verify decides which route
-each check compares, and it is the only module that imports this one, so
-no other command compiles it.
+deformation; the Dirichlet u rows from Bell sums of log a, which the
+caller takes once per series; and the minimal-parenthesis printer of
+expr ASTs.  u as row n of (1, log a) needs only riordan.row_of_pair, so
+verify.check_pipeline reads it there.  verify decides which route each
+check compares, and it is the only module that imports this one, so no
+other command compiles it.
 """
 
 from __future__ import annotations
@@ -164,15 +166,16 @@ def diagonal_table_direct(a: Series, beta, v: int, k_range, cols: int) -> RMatri
     )
 
 
-def dir_u_poly(a: ds.DirichletSeries, n: int) -> Poly:
-    """The interpolation polynomial with u_n(m) = n! [a^m]_n.
+def dir_u_poly(log_a: ds.DirichletSeries, n: int) -> Poly:
+    """The interpolation polynomial with u_n(m) = n! [a^m]_n, given b = log a.
 
     Computed from the log coefficients by the Bell sum:
-    u_n = n! sum_m B~_{n,m}(b_2..b_n)/m! x^m with b = log a.
+    u_n = n! sum_m B~_{n,m}(b_2..b_n)/m! x^m.  Taking log a rather than a
+    lets a caller that reads many rows of one series take its log once.
     """
     if n < 2:
         raise OutOfRange("rows are defined for n >= 2")
-    tail = ds.dirichlet_log(a).coeffs[1:n]
+    tail = log_a.coeffs[1:n]
     out = [Fraction(0)]
     for m in range(1, ds.big_omega(n) + 1):
         out.append(Fraction(factorial(n), factorial(m)) * stirling.bell_partial_mult(n, m, tail))

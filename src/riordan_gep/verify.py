@@ -2,8 +2,9 @@
 
 Each check re-derives an identity with freshly generated random data (or
 fixed golden data) and compares by exact equality.  The CLI `verify`
-subcommand runs these and reports one line per check; `w --check`
-reports w_check_rows.
+subcommand reports run_suites and `w --check` reports w_check_rows; both
+make each row with _row.  An object that several checks of a sweep read
+is built once (the powers of log A_n, the Dirichlet log a).
 
 Constructors build each object one way.  Every comparison with another
 route, and every module identity, lives here: W three ways, A^beta three
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
 
 from . import dirichlet as ds
@@ -37,19 +38,6 @@ from .series import (
     reciprocal,
     reversion,
 )
-
-
-class CheckResult:
-    __slots__ = ("suite", "name", "ok", "detail")
-
-    def __init__(self, suite: str, name: str, ok: bool, detail: str = ""):
-        self.suite = suite
-        self.name = name
-        self.ok = ok
-        self.detail = detail
-
-    def __repr__(self):
-        return f"CheckResult({self.suite!r}, {self.name!r}, ok={self.ok!r}, detail={self.detail!r})"
 
 
 def _frac(rng, lo=-5, hi=5, den=4):
@@ -130,10 +118,7 @@ def check_reversion_roundtrip(rng, max_n):
     order = _cap(10, max_n + 2 if max_n else 10)
     ident = Series.x(order)
     for _ in range(5):
-        g1 = Fraction(0)
-        while g1 == 0:
-            g1 = _frac(rng)
-        g = Series([0, g1] + [_frac(rng) for _ in range(order - 1)])
+        g = _series_a1_nonzero(rng, order) - 1
         h = reversion(g)
         if compose(h, g) != ident or compose(g, h) != ident:
             return False
@@ -152,16 +137,13 @@ def check_fundamental_theorem(rng, max_n):
         A = riordan.RiordanArray(riordan.RiordanKind.ORDINARY, f, g)
         b = _series(rng, order, a0=1)
         a = _series(rng, order, a0=1)
-        B = riordan.RiordanArray(riordan.RiordanKind.SQUARE, b, a)
-        lhs = riordan.window(riordan.riordan_mul(A, B), size, size)
-        rhs = riordan.window(A, size, size) * riordan.window(B, size, size)
-        if lhs != rhs:
-            return False
-        C = riordan.RiordanArray(riordan.RiordanKind.ORDINARY, b, g)
-        lhs2 = riordan.window(riordan.riordan_mul(A, C), size, size)
-        rhs2 = riordan.window(A, size, size) * riordan.window(C, size, size)
-        if lhs2 != rhs2:
-            return False
+        for B in (
+            riordan.RiordanArray(riordan.RiordanKind.SQUARE, b, a),
+            riordan.RiordanArray(riordan.RiordanKind.ORDINARY, b, g),
+        ):
+            lhs = riordan.window(riordan.riordan_mul(A, B), size, size)
+            if lhs != riordan.window(A, size, size) * riordan.window(B, size, size):
+                return False
     return True
 
 
@@ -209,10 +191,8 @@ def check_row_numerator(rng, max_n):
     for _ in range(4):
         a = _series(rng, order, a0=1)
         A = riordan.RiordanArray(riordan.RiordanKind.SQUARE, Series.one(order), a)
-        num = routes.row_numerator(A, n)
-        if num.degree() > n:
-            return False
-        if num != gep.GepContext(a, n).alpha:
+        # row_numerator raises NotPolynomial unless the numerator has degree <= n
+        if routes.row_numerator(A, n) != gep.GepContext(a, n).alpha:
             return False
     return True
 
@@ -293,9 +273,13 @@ def check_pipeline(rng, max_n):
         for _ in range(3):
             a = _series(rng, 2 * n + 2, a0=1)
             ctx = gep.GepContext(a, n)
-            ut = tuple(ctx.u.coeff(k) for k in range(1, n + 1))
+            # u~ by the second route: row n of (1, log a), coefficient m scaled by n!/m!
+            row = riordan.row_of_pair(Series.one(n), log(a.truncate(n)), n, n + 1)
+            ut = tuple(Fraction(factorial(n), factorial(m)) * row.coeff(m) for m in range(1, n + 1))
             at = tuple(ctx.alpha.coeff(k) for k in range(1, n + 1))
             vt = tuple(ctx.v.coeff(k) for k in range(1, n + 1))
+            if ut != tuple(ctx.u.coeff(k) for k in range(1, n + 1)):
+                return False
             if gep.matrix_u(n).apply(ut) != at:
                 return False
             if gep.matrix_v(n).apply(at) != vt:
@@ -493,12 +477,11 @@ def check_w_constructions(rng, max_n):
 def w_check_rows(W: RMatrix, m: int) -> list:
     """The report of `riordan-gep w --check` on W = W_(n,m): one
     [suite, check, ok/FAIL, detail] row per check."""
-    checks = (
-        ("column sums are m^n", w_column_sums_ok(W, m)),
-        ("alternative construction agrees", w_routes_agree(W, m)),
-        ("multiplicativity/reversal/eigenvector", w_identities(W.rows, m, 2)),
-    )
-    return [["w", name, "ok" if ok else "FAIL", ""] for name, ok in checks]
+    return [
+        _row("w", "column sums are m^n", lambda: w_column_sums_ok(W, m)),
+        _row("w", "alternative construction agrees", lambda: w_routes_agree(W, m)),
+        _row("w", "multiplicativity/reversal/eigenvector", lambda: w_identities(W.rows, m, 2)),
+    ]
 
 
 def w_identities(n: int, m: int, p: int) -> bool:
@@ -539,15 +522,18 @@ def w_restriction(n: int, m: int, p: int) -> bool:
     return _restrict(wmatrix.w_matrix(n, m), p) == wmatrix.w_matrix(n - p, m)
 
 
+def _maps_alpha(M: RMatrix, a: Series, b: Series) -> bool:
+    """M maps alpha~_n of a to alpha~_n of b, n = M.rows."""
+    n = M.rows
+    return _apply(M, gep.GepContext(a, n).alpha.shift_down(1)) == gep.GepContext(b, n).alpha.shift_down(1)
+
+
 def check_w_gep_semantics(rng, max_n):
     top = _cap(6, max_n)
     for n in range(1, top + 1):
         for m in (2, 3):
             a = _series(rng, 2 * n + 2, a0=1)
-            alpha_t = gep.GepContext(a, n).alpha.shift_down(1)
-            moved = _apply(wmatrix.w_matrix(n, m), alpha_t)
-            direct = gep.GepContext(power(a, m), n).alpha.shift_down(1)
-            if moved != direct:
+            if not _maps_alpha(wmatrix.w_matrix(n, m), a, power(a, m)):
                 return False
     return True
 
@@ -573,12 +559,21 @@ def abeta_routes_agree(n: int, beta) -> bool:
     by_dtilde = gep.matrix_v_inv(n) * RMatrix.from_cols(
         routes.vtilde_transform(n, beta, Poly(v.column(j))).to_vector(n) for j in range(n)
     )
-    gen = lagrange.log_abeta(n)
-    by_log = term = RMatrix.identity(n)
+    powers = _log_abeta_powers(n)
+    by_log = powers[0]
     for m in range(1, n):
-        term = term * gen
-        by_log = by_log + term * (beta**m / factorial(m))
+        by_log = by_log + powers[m] * (beta**m / factorial(m))
     return lagrange.abeta_matrix(n, beta) == by_dtilde == by_log
+
+
+@lru_cache(maxsize=64)
+def _log_abeta_powers(n: int) -> tuple:
+    """(log A_n)^m for m = 0, ..., n-1, built once per n for every beta."""
+    gen = lagrange.log_abeta(n)
+    powers = [RMatrix.identity(n)]
+    for _ in range(1, n):
+        powers.append(powers[-1] * gen)
+    return tuple(powers)
 
 
 def check_abeta_constructions(rng, max_n):
@@ -631,10 +626,7 @@ def log_abeta_top_power(n: int) -> bool:
     """Every column of (log A_n)^(n-1) is n^(n-2) (1-x)^(n-1); trivially true at n = 1."""
     if n < 2:
         return True
-    top = RMatrix.identity(n)
-    gen = lagrange.log_abeta(n)
-    for _ in range(n - 1):
-        top = top * gen
+    top = _log_abeta_powers(n)[n - 1]
     expected_col = tuple(Fraction(n) ** (n - 2) * c for c in binomial_poly(n - 1, -1).to_vector(n))
     return all(top.column(j) == expected_col for j in range(n))
 
@@ -653,11 +645,8 @@ def check_abeta_gep_semantics(rng, max_n):
     for n in range(1, top + 1):
         for beta in (Fraction(1), Fraction(2), Fraction(1, 2)):
             a = _series(rng, 2 * n + 2, a0=1)
-            alpha_t = gep.GepContext(a, n).alpha.shift_down(1)
-            moved = _apply(lagrange.abeta_matrix(n, beta), alpha_t)
             deformed = lagrange.lagrange_coeffs(a, beta, 2 * n + 2)
-            direct = gep.GepContext(deformed, n).alpha.shift_down(1)
-            if moved != direct:
+            if not _maps_alpha(lagrange.abeta_matrix(n, beta), a, deformed):
                 return False
     return True
 
@@ -744,16 +733,12 @@ def check_duality(rng, max_n):
 def check_diagonal_tables(rng, max_n):
     cols = _cap(6, max_n)
     ks = range(-3, 4)
-    bases = [Series([1, 1], order=cols + 2), _series(rng, cols + 2, a0=1)]
-    for a in bases:
-        for v in (1, 2, -1, -2):
-            lhs = routes.diagonal_table(a, Fraction(1), v, ks, cols)
-            rhs = routes.diagonal_table_direct(a, Fraction(1), v, ks, cols)
-            if lhs != rhs:
-                return False
-    lhs = routes.diagonal_table(Series([1, 1], order=cols + 2), Fraction(2), 1, ks, cols)
-    rhs = routes.diagonal_table_direct(Series([1, 1], order=cols + 2), Fraction(2), 1, ks, cols)
-    return lhs == rhs
+    one_plus_x = Series([1, 1], order=cols + 2)
+    cases = [(a, Fraction(1), v) for a in (one_plus_x, _series(rng, cols + 2, a0=1)) for v in (1, 2, -1, -2)]
+    for a, beta, v in cases + [(one_plus_x, Fraction(2), 1)]:
+        if routes.diagonal_table(a, beta, v, ks, cols) != routes.diagonal_table_direct(a, beta, v, ks, cols):
+            return False
+    return True
 
 
 # ------------------------------------------------------------- dirichlet
@@ -784,9 +769,9 @@ def check_dirichlet_window_identities(rng, max_n):
 
 def check_zeta_u_product(rng, max_n):
     rows = _cap(64, max_n * 8 if max_n else 64)
-    z = ds.DirichletSeries.zeta(rows)
+    log_z = ds.dirichlet_log(ds.DirichletSeries.zeta(rows))
     for n in range(2, rows + 1):
-        u = routes.dir_u_poly(z, n)
+        u = routes.dir_u_poly(log_z, n)
         expected = Poly([1])
         for _, mult in ds.factorize(n).items():
             expected = expected * routes.rising_factorial_poly(mult) * Fraction(1, factorial(mult))
@@ -800,10 +785,11 @@ def check_dir_alpha_routes(rng, max_n):
     z = ds.DirichletSeries.zeta(rows)
     a = ds.DirichletSeries([1] + [_frac(rng) for _ in range(rows - 1)])
     for base in (z, a):
+        log_base = ds.dirichlet_log(base)
         for n in range(2, rows + 1):
             # the u route: x (Omega!/n!) U applied to u~_n
             omega = ds.big_omega(n)
-            u = routes.dir_u_poly(base, n)
+            u = routes.dir_u_poly(log_base, n)
             ut = tuple(u.coeff(k) for k in range(1, omega + 1))
             scale = Fraction(factorial(omega), factorial(n))
             by_u = Poly([scale * c for c in gep.matrix_u(omega).apply(ut)]).shift_up(1)
@@ -964,18 +950,20 @@ REGISTRY = [
 ]
 
 
-def run_suites(which: str = "all", seed: int = 0, max_n: int | None = None):
-    """Run the selected suites; returns a list of CheckResult."""
-    results = []
-    for suite, name, fn in REGISTRY:
-        if which != "all" and suite != which:
-            continue
-        rng = random.Random(f"{seed}:{suite}:{name}")
-        try:
-            ok = bool(fn(rng, max_n))
-            detail = ""
-        except Exception as exc:  # a check must never crash the runner
-            ok = False
-            detail = f"{type(exc).__name__}: {exc}"
-        results.append(CheckResult(suite, name, ok, detail))
-    return results
+def run_suites(which: str = "all", seed: int = 0, max_n: int | None = None) -> list:
+    """The report rows of the selected suites, in REGISTRY order.  REGISTRY
+    is read at call time: perfbench/tracer.py rebinds its checks in place."""
+    return [
+        _row(suite, name, partial(check, random.Random(f"{seed}:{suite}:{name}"), max_n))
+        for suite, name, check in REGISTRY
+        if which in ("all", suite)
+    ]
+
+
+def _row(suite: str, name: str, check) -> list:
+    """The VerifyReport row [suite, name, "ok" | "FAIL", detail] of check();
+    a check that raises fails with the exception as its detail."""
+    try:
+        return [suite, name, "ok" if check() else "FAIL", ""]
+    except Exception as exc:
+        return [suite, name, "FAIL", f"{type(exc).__name__}: {exc}"]

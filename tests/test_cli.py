@@ -227,6 +227,23 @@ class TestLimitsAndUsage:
         assert code == 1
         assert "series order 11" in err
 
+    @pytest.mark.parametrize("raw", ["10k", "-1", "4.5", ""])
+    def test_bad_cap_is_a_one_line_usage_error(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("RIORDAN_GEP_MAX_ORDER", raw)
+        expected = f"error: RIORDAN_GEP_MAX_ORDER must be a nonnegative integer, got {raw!r}\n"
+        for argv in (["series", "eval", "1+x", "--order", "5000"], ["verify", "cli"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            assert capsys.readouterr() == ("", expected)
+
+    def test_dirichlet_g_is_bounded_by_the_series_order_it_expands(self, capsys, monkeypatch):
+        monkeypatch.setenv("RIORDAN_GEP_MAX_ORDER", "10")
+        assert run_cli(capsys, "dirichlet", "g", "--p", "2", "--r", "2") == (0, "x+4x^2+x^3\n", "")  # order 10
+        code, out, err = run_cli(capsys, "dirichlet", "g", "--p", "3", "--r", "3")  # order 20
+        assert (code, out) == (1, "")
+        assert err == "error: series order 20 exceeds RIORDAN_GEP_MAX_ORDER=10\n"
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as info:
             main(["euler"])  # missing --n
@@ -483,6 +500,32 @@ def test_verify_reports_why_a_check_crashed(capsys, monkeypatch):
     ]
     code, out, _ = run_cli(capsys, "verify", "gep", "--format", "csv")
     assert out == 'gep,crashes,FAIL,"ZeroDivisionError: no inverse, sorry"\ngep,passes,ok,\n'
+
+
+def test_w_check_reports_failures_with_nonzero_exit(capsys, monkeypatch):
+    import riordan_gep.verify as verify_mod
+
+    def crashes(W, m):
+        raise ZeroDivisionError("no inverse, sorry")
+
+    monkeypatch.setattr(verify_mod, "w_routes_agree", crashes)
+    code, out, _ = run_cli(capsys, "w", "--n", "3", "--m", "2", "--check")
+    assert code == 1
+    assert out.splitlines() == [
+        "[ok] w: column sums are m^n",
+        "[FAIL] w: alternative construction agrees -- ZeroDivisionError: no inverse, sorry",
+        "[ok] w: multiplicativity/reversal/eigenvector",
+        "3 checks, 1 failed",
+    ]
+    code, out, _ = run_cli(capsys, "w", "--n", "3", "--m", "2", "--check", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["entries"][1] == [
+        "w", "alternative construction agrees", "FAIL", "ZeroDivisionError: no inverse, sorry"
+    ]
+    monkeypatch.setattr(verify_mod, "w_routes_agree", lambda W, m: False)
+    code, out, _ = run_cli(capsys, "w", "--n", "3", "--m", "2", "--check", "--format", "csv")
+    assert code == 1
+    assert out.splitlines()[1] == "w,alternative construction agrees,FAIL,"
 
 
 # ---------------------------------------------------------------- generated argv

@@ -17,8 +17,8 @@ from riordan_gep.gep import (
     stirling_products,
 )
 from riordan_gep.matrix import RMatrix
-from riordan_gep.riordan import RiordanArray, RiordanKind
-from riordan_gep.series import Poly, Series, binomial_poly, exp, power, reciprocal
+from riordan_gep.riordan import RiordanArray, RiordanKind, row_of_pair
+from riordan_gep.series import Poly, Series, binomial_poly, exp, log, power, reciprocal
 from riordan_gep.routes import row_numerator
 from riordan_gep.verify import alpha_gf_check, check_theorem1, check_theorem2, reduce_degenerate
 
@@ -32,6 +32,12 @@ def hyperbolic_square(order):
     """(x/2 + sqrt(1+x^2/4))^2 truncated."""
     root = power(Series([1, 0, F(1, 4)], order=order), F(1, 2))
     return power(Series([0, F(1, 2)], order=order) + root, 2)
+
+
+def u_by_log_row(a, n):
+    """Reference u_n: row n of the exponential array (1, log a), coefficient m scaled by n!/m!."""
+    row = row_of_pair(Series.one(n), log(a.truncate(n)), n, n + 1)
+    return Poly([F(factorial(n), factorial(m)) * row.coeff(m) for m in range(n + 1)])
 
 
 def rand_unit_series(rng, order, a1=None):
@@ -95,6 +101,18 @@ class TestContext:
 
 
 class TestUPoly:
+    def test_u_is_row_n_of_one_log_a(self):
+        # the constructor reads u as x U_n^-1 alpha~; the reference is the (1, log a) row
+        rng = random.Random(47)
+        for n in (1, 2, 3, 5, 8, 13, 21, 30):
+            dense = rand_unit_series(rng, n)
+            sparse = [F(1)] + [F(0)] * n  # at most three nonzero terms past the constant
+            for k in rng.sample(range(1, n + 1), min(n, 3)):
+                sparse[k] = F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+            for a in (dense, Series(sparse), exp(Series.x(n))):
+                assert GepContext(a, n).u == u_by_log_row(a, n)
+        assert GepContext(exp(Series.x(9)), 9).u == Poly([0] * 9 + [1])  # row n of (1, x) is x^n
+
     def test_hyperbolic_square_even_factorization(self):
         # u_{2n}(x) = prod_{m=0}^{n-1} (x^2 - m^2)
         for n in (1, 2, 3):

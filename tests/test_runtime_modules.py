@@ -1,12 +1,14 @@
-"""Runtime modules hold only what the CLI or another runtime module runs.
+"""Every module holds only what a command runs.
 
+Runtime modules hold only what the CLI or another runtime module runs.
 Routes that only cross-check a construction live on the verify side
 (verify.py and routes.py), and references that only the tests use live in
-tests/.  This test reads the source of every other module except
-__main__, resolves each name through the module's imports, and follows
+tests/.  The verify side in turn holds only what `verify` or `w --check`
+runs.  These tests read the source of the package's modules except
+__main__, resolve each name through the module's imports, and follow
 references from the roots: all of cli, the statements every module runs
-at import, and ALLOWED.  Each public module-level function or class must
-be reached.
+at import (verify.REGISTRY among them), and an allowlist.  Each public
+module-level function or class must be reached.
 """
 
 import ast
@@ -15,7 +17,7 @@ import os
 import riordan_gep
 
 PACKAGE = os.path.dirname(riordan_gep.__file__)
-NOT_SCANNED = ("verify", "routes", "__main__")
+VERIFY_SIDE = ("verify", "routes")
 
 # (module, name) -> why it stays although no runtime code calls it
 ALLOWED = {
@@ -29,14 +31,22 @@ ALLOWED = {
     ("riordan", "entry"): "readme",
     ("dirichlet", "dir_alpha_poly"): "readme",
 }
+# verify-side (module, name) -> why it stays although neither `verify` nor `w --check` runs it
+ALLOWED_VERIFY = {
+    # identity functions documented in README, which only the tests call
+    ("verify", "reduce_degenerate"): "readme",
+    ("verify", "alpha_gf_check"): "readme",
+    ("verify", "w_restriction"): "readme",
+}
 REASONS = ("traced", "readme", "export")  # export: re-exported by __init__
 
 
-def _modules():
+def _modules(verify_side=False):
+    """The parsed modules of the package but __main__; the verify side only when asked."""
     out = {}
     for fname in sorted(os.listdir(PACKAGE)):
         name, ext = os.path.splitext(fname)
-        if ext == ".py" and name not in NOT_SCANNED:
+        if ext == ".py" and name != "__main__" and (verify_side or name not in VERIFY_SIDE):
             with open(os.path.join(PACKAGE, fname), encoding="utf-8") as fh:
                 out[name] = ast.parse(fh.read(), fname)
     return out
@@ -105,10 +115,28 @@ def test_every_public_definition_is_run_by_the_runtime():
     assert unused == [], "no runtime code runs these; move them to routes, verify or tests: " + ", ".join(unused)
 
 
-def test_allowlist_is_needed():
-    modules = _modules()
-    for key, reason in ALLOWED.items():
+def test_every_public_verify_definition_is_run_by_a_check():
+    reached, defs = _reached(_modules(verify_side=True), ALLOWED_VERIFY)
+    unused = sorted(
+        f"{mod}.{name}"
+        for mod, name in defs
+        if mod in VERIFY_SIDE and not name.startswith("_") and (mod, name) not in reached
+    )
+    assert unused == [], "neither REGISTRY, w_check_rows nor cli runs these; delete them or move them to tests: " + ", ".join(unused)
+
+
+def _check_allowlist(allowed, verify_side):
+    modules = _modules(verify_side)
+    for key, reason in allowed.items():
         assert reason in REASONS, key
-        reached, defs = _reached(modules, {k: v for k, v in ALLOWED.items() if k != key})
+        reached, defs = _reached(modules, {k: v for k, v in allowed.items() if k != key})
         assert key in defs, f"{key} is allowlisted but not defined"
-        assert key not in reached, f"runtime code runs {key}: drop it from ALLOWED"
+        assert key not in reached, f"a command runs {key}: drop it from the allowlist"
+
+
+def test_allowlist_is_needed():
+    _check_allowlist(ALLOWED, verify_side=False)
+
+
+def test_verify_allowlist_is_needed():
+    _check_allowlist(ALLOWED_VERIFY, verify_side=True)
