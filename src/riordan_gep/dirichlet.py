@@ -5,12 +5,17 @@ is divisor convolution.  The row polynomials of the power arrays <a>,
 <a-1>, <log a> mirror the power-series case with additive partitions
 replaced by decompositions into factors >= 2, and the numerator of row n
 lives over (1-x)^(Omega(n)+1).
+
+The kernels work on integer numerators: mul and inv over common
+denominators, log by the recurrence of the derivation f -> Omega f, each
+index n over the lcm of the terms its own divisors pushed to it.  exp still
+sums over the decompositions of n into factors >= 2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .errors import LeadingCoefficientNotOne, NotPolynomial, OutOfRange
 from .gep import matrix_u, matrix_v_inv  # noqa: F401  perfbench's tracer test pins the matrix_u alias
@@ -20,6 +25,7 @@ from .stirling import big_omega, divisors, factorize  # noqa: F401  sieve-backed
 from .stirling import bell_partial_mult, mult_decompositions
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class DirichletSeries:
@@ -34,12 +40,19 @@ class DirichletSeries:
         self.coeffs = cs
 
     @classmethod
+    def _of(cls, coeffs: tuple):
+        """Wrap a nonempty tuple of Fractions as it is."""
+        s = cls.__new__(cls)
+        s.coeffs = coeffs
+        return s
+
+    @classmethod
     def zeta(cls, n_max: int):
-        return cls([1] * n_max)
+        return cls((_ONE,) * n_max)
 
     @classmethod
     def one(cls, n_max: int):
-        return cls([1] + [0] * (n_max - 1))
+        return cls((_ONE,) + (_ZERO,) * (n_max - 1))
 
     @property
     def n_max(self) -> int:
@@ -62,14 +75,6 @@ class DirichletSeries:
         head = ", ".join(str(c) for c in self.coeffs[:8])
         return f"DirichletSeries([{head}{', ...' if self.n_max > 8 else ''}])"
 
-    def __add__(self, other):
-        n = min(self.n_max, other.n_max)
-        return DirichletSeries([self.coeffs[i] + other.coeffs[i] for i in range(n)])
-
-    def __sub__(self, other):
-        n = min(self.n_max, other.n_max)
-        return DirichletSeries([self.coeffs[i] - other.coeffs[i] for i in range(n)])
-
 
 def dirichlet_mul(a: DirichletSeries, b: DirichletSeries) -> DirichletSeries:
     """Divisor convolution: coefficient n is sum over d|n of a_d b_{n/d}.
@@ -86,7 +91,7 @@ def dirichlet_mul(a: DirichletSeries, b: DirichletSeries) -> DirichletSeries:
         if x:
             out[i::i] = [v + x * y for v, y in zip(out[i::i], nb)]
     d = da * db
-    return DirichletSeries([Fraction(v, d) if v else _ZERO for v in out[1:]])
+    return DirichletSeries._of(tuple(Fraction(v, d) if v else _ZERO for v in out[1:]))
 
 
 def dirichlet_inv(a: DirichletSeries) -> DirichletSeries:
@@ -110,18 +115,18 @@ def dirichlet_inv(a: DirichletSeries) -> DirichletSeries:
         x = out[m]
         if x:
             out[2 * m :: m] = [v - w * x for v, w in zip(out[2 * m :: m], weights)]
-    return DirichletSeries(
-        [Fraction(v, powers[omega[n]]) if v else _ZERO for n, v in enumerate(out) if n]
+    return DirichletSeries._of(
+        tuple(Fraction(v, powers[omega[n]]) if v else _ZERO for n, v in enumerate(out) if n)
     )
 
 
 def _exp_term(coeffs, n: int) -> Fraction:
     """sum over decompositions of n into factors >= 2 of prod c_p^{m_p}/m_p!.
 
-    This is sum_k (c^k)_n / k! for a series c with c_1 = 0.  The c_d with
-    d | n are written as integers A_d over their common denominator D; the
-    decompositions into k factors then add up to the integer
-    S_k = sum k!/prod m_p! prod A_p^{m_p}, and the result is the one
+    This is sum_k (c^k)_n / k! for a series c with c_1 = 0, coefficient n of
+    exp c.  The c_d with d | n are written as integers A_d over their common
+    denominator D; the decompositions into k factors then add up to the
+    integer S_k = sum k!/prod m_p! prod A_p^{m_p}, and the result is the one
     Fraction sum_k S_k / (k! D^k).
     """
     factors = divisors(n)[1:]
@@ -148,17 +153,36 @@ def _exp_term(coeffs, n: int) -> Fraction:
 def dirichlet_log(a: DirichletSeries) -> DirichletSeries:
     """Formal logarithm; requires a_1 = 1.
 
-    Solved over the divisor lattice: at each n the coefficient L_n is a_n
-    minus the exponential terms built from strictly smaller indices.
+    Omega is completely additive, so f -> Omega f is a derivation of the
+    convolution, and L = log a satisfies Omega a = (Omega L) * a (Apostol,
+    Introduction to Analytic Number Theory, 2.18).  Hence
+    L_n = a_n - (1/Omega(n)) sum_{d|n, 1<d<n} Omega(d) L_d a_{n/d}.  Once L_d
+    is final, Omega(d) L_d a_m is pushed to index d*m as an unreduced integer
+    pair (numerator, denominator); index n sums its own pending pairs over
+    their lcm, so it sees only the denominators of its divisors.
     """
     if a.coeff(1) != 1:
         raise LeadingCoefficientNotOne("log needs a_1 = 1")
-    n_max = a.n_max
-    out = [Fraction(0)] * n_max
+    cs, n_max = a.coeffs, a.n_max
+    pending = [[] for _ in range(n_max + 1)]  # pending[n]: the terms d, n/d > 1
+    out = [_ZERO] * n_max
     for n in range(2, n_max + 1):
-        # out[n-1] is still 0 here, so the single-factor term drops out
-        out[n - 1] = a.coeffs[n - 1] - _exp_term(out, n)
-    return DirichletSeries(out)
+        omega = big_omega(n)
+        terms, pending[n] = pending[n], None
+        x = cs[n - 1]
+        if terms:
+            den = lcm(*(d for _, d in terms))
+            s = sum(v * (den // d) for v, d in terms)
+            if s:
+                x -= Fraction(s, omega * den)
+        out[n - 1] = x
+        if x:
+            wn, wd = omega * x.numerator, x.denominator
+            for m in range(2, n_max // n + 1):
+                y = cs[m - 1]
+                if y:
+                    pending[n * m].append((wn * y.numerator, wd * y.denominator))
+    return DirichletSeries._of(tuple(out))
 
 
 def dirichlet_exp(a: DirichletSeries) -> DirichletSeries:
@@ -175,25 +199,27 @@ def array_window(a: DirichletSeries, variant: str, rows: int, cols: int) -> RMat
     """Window (rows 1..rows, columns k = 0..cols-1) of <a>, <a-1> or <log a>.
 
     Column k holds the coefficients of the k-th convolution power of the
-    chosen base series.
+    chosen base series, truncated to `rows`.
     """
+    if rows < 1 or cols < 1:
+        raise OutOfRange(f"window needs rows >= 1 and cols >= 1, got {rows}x{cols}")
     if rows > a.n_max:
         raise OutOfRange(f"only {a.n_max} coefficients available")
+    a = DirichletSeries._of(a.coeffs[:rows])
     if variant == "plain":
         base = a
     elif variant == "minus-one":
-        base = a - DirichletSeries.one(a.n_max)
+        base = DirichletSeries._of((a.coeffs[0] - 1,) + a.coeffs[1:])
     elif variant == "log":
         base = dirichlet_log(a)
     else:
         raise OutOfRange(f"unknown variant {variant!r}")
-    cols_list = []
-    acc = DirichletSeries.one(a.n_max)
-    for k in range(cols):
-        cols_list.append([acc.coeff(n) for n in range(1, rows + 1)])
-        if k + 1 < cols:
-            acc = dirichlet_mul(acc, base)
-    return RMatrix.from_cols(cols_list)
+    acc = DirichletSeries.one(rows)
+    powers = [acc.coeffs]
+    for _ in range(1, cols):
+        acc = dirichlet_mul(acc, base)
+        powers.append(acc.coeffs)
+    return RMatrix._of(tuple(zip(*powers)))
 
 
 def dir_v_poly(a: DirichletSeries, n: int) -> Poly:

@@ -767,9 +767,15 @@ def check_dirichlet_window_identities(rng, max_n):
     return True
 
 
+@lru_cache(maxsize=8)
+def _log_zeta(rows: int):
+    """log zeta truncated to `rows`, built once per sweep for both checks that read it."""
+    return ds.dirichlet_log(ds.DirichletSeries.zeta(rows))
+
+
 def check_zeta_u_product(rng, max_n):
     rows = _cap(64, max_n * 8 if max_n else 64)
-    log_z = ds.dirichlet_log(ds.DirichletSeries.zeta(rows))
+    log_z = _log_zeta(rows)
     for n in range(2, rows + 1):
         u = routes.dir_u_poly(log_z, n)
         expected = Poly([1])
@@ -782,10 +788,8 @@ def check_zeta_u_product(rng, max_n):
 
 def check_dir_alpha_routes(rng, max_n):
     rows = _cap(64, max_n * 8 if max_n else 64)
-    z = ds.DirichletSeries.zeta(rows)
     a = ds.DirichletSeries([1] + [_frac(rng) for _ in range(rows - 1)])
-    for base in (z, a):
-        log_base = ds.dirichlet_log(base)
+    for base, log_base in ((ds.DirichletSeries.zeta(rows), _log_zeta(rows)), (a, ds.dirichlet_log(a))):
         for n in range(2, rows + 1):
             # the u route: x (Omega!/n!) U applied to u~_n
             omega = ds.big_omega(n)

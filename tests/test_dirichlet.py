@@ -6,8 +6,10 @@ import pytest
 
 import golden_data as gd
 from golden_data import geometric
+from riordan_gep import dirichlet
 from riordan_gep.dirichlet import (
     DirichletSeries,
+    _exp_term,
     array_window,
     big_omega,
     carlitz_hoggatt,
@@ -45,6 +47,36 @@ def dir_alpha_reversal(a, n):
 
 def rand_series(rng, n):
     return DirichletSeries([1] + [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n - 1)])
+
+
+def ref_log(a):
+    """The decomposition-sum logarithm: L_n = a_n - (exp of the L_d, d | n, d < n)_n."""
+    out = [F(0)] * a.n_max
+    for n in range(2, a.n_max + 1):
+        # out[n-1] is still 0 here, so the single-factor term drops out
+        out[n - 1] = a[n] - _exp_term(out, n)
+    return DirichletSeries(out)
+
+
+def with_zero_runs(rng, n):
+    """a_1 = 1 and small-denominator coefficients, with runs of zeros between them."""
+    cs = [F(1)]
+    while len(cs) < n:
+        cs += [F(0)] * rng.randint(0, 6)
+        cs += [F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(rng.randint(1, 4))]
+    return DirichletSeries(cs[:n])
+
+
+def wide_series(rng, n):
+    """a_1 = 1 and coefficients with independent 64-bit denominators."""
+    return DirichletSeries([1] + [F(rng.randint(-(2**63), 2**63), rng.randint(1, 2**64)) for _ in range(n - 1)])
+
+
+def count_decompositions(monkeypatch):
+    calls = []
+    decompositions = dirichlet.mult_decompositions
+    monkeypatch.setattr(dirichlet, "mult_decompositions", lambda *args: calls.append(1) or decompositions(*args))
+    return calls
 
 
 class TestArithmetic:
@@ -101,6 +133,52 @@ class TestLogExp:
         assert dirichlet_mul(half, half) == a
 
 
+class TestLogRecurrence:
+    def test_zeta_matches_decomposition_sum(self):
+        # log of a truncation is the truncation of the log, so N = 600 covers every N below it
+        assert dirichlet_log(zeta(600)) == ref_log(zeta(600))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_small_denominators(self, seed):
+        rng = random.Random(f"dirichlet-log:{seed}")
+        for a in (rand_series(rng, 200), with_zero_runs(rng, 200)):
+            assert dirichlet_log(a) == ref_log(a)
+
+    def test_wide_denominators(self):
+        a = wide_series(random.Random("dirichlet-log:wide"), 300)
+        assert dirichlet_log(a) == ref_log(a)
+
+    def test_shortest_series(self):
+        assert dirichlet_log(DirichletSeries([1])) == DirichletSeries([0])
+        assert dirichlet_log(DirichletSeries([1, F(-2, 3)])) == DirichletSeries([0, F(-2, 3)])
+
+    def test_log_needs_unit_lead(self):
+        with pytest.raises(LeadingCoefficientNotOne):
+            dirichlet_log(DirichletSeries([2, 1]))
+
+    def test_log_enumerates_no_decompositions(self, monkeypatch):
+        # exp is the only Dirichlet kernel that sums over decompositions
+        calls = count_decompositions(monkeypatch)
+        lz = dirichlet_log(rand_series(random.Random(97), 64))
+        assert calls == []
+        dirichlet_exp(lz)
+        assert calls
+
+
+class TestExactTypes:
+    def test_kernel_outputs_are_fractions(self):
+        a = rand_series(random.Random(101), 48)
+        for out in (dirichlet_log(a), dirichlet_mul(a, zeta(48)), dirichlet_inv(a), dirichlet_log(zeta(48))):
+            assert all(type(c) is F for c in out.coeffs)
+
+    @pytest.mark.parametrize("variant", ["plain", "minus-one", "log"])
+    def test_window_entries_are_fractions(self, variant):
+        for a in (zeta(30), rand_series(random.Random(103), 30)):
+            window = array_window(a, variant, 24, 4)
+            assert (window.rows, window.cols) == (24, 4)
+            assert all(type(e) is F for row in window.entries for e in row)
+
+
 class TestWindows:
     def test_zeta_window(self):
         assert array_window(zeta(12), "plain", 12, 5) == RMatrix(gd.ZETA_WINDOW)
@@ -114,6 +192,17 @@ class TestWindows:
 
     def test_zeta_log_window(self):
         assert array_window(zeta(12), "log", 12, 4) == RMatrix(gd.ZETA_LOG_WINDOW)
+
+    def test_window_truncates_the_base(self):
+        a = rand_series(random.Random(107), 40)
+        short = DirichletSeries(a.coeffs[:20])
+        for variant in ("plain", "minus-one", "log"):
+            assert array_window(a, variant, 20, 4) == array_window(short, variant, 20, 4)
+
+    @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (-1, 2), (0, 0)])
+    def test_empty_window_is_out_of_range(self, rows, cols):
+        with pytest.raises(OutOfRange, match="rows >= 1 and cols >= 1"):
+            array_window(zeta(12), "plain", rows, cols)
 
     def test_shift_identities_on_rows(self):
         # row-level products with the polynomial columns of (1, 1+x) and
