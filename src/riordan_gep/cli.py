@@ -55,6 +55,9 @@ def _check_limit(value: int, what: str) -> int:
 
 
 def _fraction(text: str) -> Fraction:
+    # Fraction() also reads exponent notation, and 1e999999999 is a billion-digit integer
+    if "e" in text.lower():
+        raise argparse.ArgumentTypeError(f"exponent notation is not accepted: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -191,8 +194,7 @@ def _dispatch(args):
             }
             return partial(matrix_doc, table[args.which](n), n=n)
         ctx = gep.GepContext(_eval(args.a, n), n)
-        poly = {"alpha": ctx.alpha, "u": ctx.u, "v": ctx.v}[args.gep_command]
-        return partial(poly_doc, poly, n=n)
+        return partial(poly_doc, getattr(ctx, args.gep_command), n=n)  # alpha, u or v
 
     if args.command == "euler":
         from .gep import eulerian_poly

@@ -6,10 +6,9 @@ is divisor convolution.  The row polynomials of the power arrays <a>,
 replaced by decompositions into factors >= 2, and the numerator of row n
 lives over (1-x)^(Omega(n)+1).
 
-The kernels work on integer numerators: mul and inv over common
-denominators, log by the recurrence of the derivation f -> Omega f, each
-index n over the lcm of the terms its own divisors pushed to it.  exp still
-sums over the decompositions of n into factors >= 2.
+The kernels work on integer numerators: inv and log are one exact division
+(log through the derivation f -> Omega f), mul convolves over common
+denominators, and exp sums over the decompositions of n into factors >= 2.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from .errors import LeadingCoefficientNotOne, NotPolynomial, OutOfRange
-from .gep import matrix_u, matrix_v_inv  # noqa: F401  perfbench's tracer test pins the matrix_u alias
+from .gep import alpha_from_v, matrix_u  # noqa: F401  perfbench's tracer test pins the matrix_u alias
 from .matrix import RMatrix
 from .series import Poly, as_rational, binomial_poly, over_lcm
 from .stirling import big_omega, divisors, factorize  # noqa: F401  sieve-backed, re-exported
@@ -82,6 +81,8 @@ def dirichlet_mul(a: DirichletSeries, b: DirichletSeries) -> DirichletSeries:
     Both operands become integer numerators over their common denominators
     da, db; the numerators are convolved over i*j <= N as integers, and each
     output is one Fraction over da*db (zeros share one Fraction object).
+    Unlike _divide, it bets that the denominators share factors, as they do
+    for every series the CLI builds (ROADMAP item 1 weighs the per-index push).
     """
     n_max = min(a.n_max, b.n_max)
     na, da = over_lcm(a.coeffs[:n_max])
@@ -94,30 +95,42 @@ def dirichlet_mul(a: DirichletSeries, b: DirichletSeries) -> DirichletSeries:
     return DirichletSeries._of(tuple(Fraction(v, d) if v else _ZERO for v in out[1:]))
 
 
-def dirichlet_inv(a: DirichletSeries) -> DirichletSeries:
-    """Convolution inverse; requires a_1 = 1.
+def _divide(b, a) -> tuple:
+    """The coefficients y = b * a^-1 of two coefficient tuples of one length, a_1 = 1.
 
-    With a_d = A_d / D over the common denominator D, the inverse is
-    b_n = N_n / D^Omega(n) with N_1 = 1 and the integer recurrence
-    N_n = -sum_{d|n, d>1} A_d D^(Omega(d)-1) N_{n/d}.  It runs forward: once
-    N_m is final it is pushed to every multiple m*d, so only Omega is needed.
+    The forward recurrence y_n = b_n - sum_{k|n, k<n} y_k a_{n/k}: once y_k is
+    final, y_k a_m is added to index k*m as an integer pair.  Each index keeps
+    one running numerator over the lcm of the denominators pushed to it, so
+    it sees only the denominators of its own divisors.
     """
+    n_max = len(a)
+    nums, dens = [c.numerator for c in a], [c.denominator for c in a]
+    num, den = [0] * (n_max + 1), [1] * (n_max + 1)  # the sum pushed to index n
+    out = []
+    for n, x in enumerate(b, 1):
+        if num[n]:
+            x = Fraction(x.numerator * den[n] - num[n] * x.denominator, x.denominator * den[n])
+        out.append(x or _ZERO)
+        if not x:
+            continue
+        xn, xd = x.numerator, x.denominator
+        for m in range(2, n_max // n + 1):
+            p = nums[m - 1]
+            if p:
+                j, p, q = n * m, xn * p, xd * dens[m - 1]
+                if q == den[j]:
+                    num[j] += p
+                else:
+                    dl = lcm(den[j], q)
+                    num[j], den[j] = num[j] * (dl // den[j]) + p * (dl // q), dl
+    return tuple(out)
+
+
+def dirichlet_inv(a: DirichletSeries) -> DirichletSeries:
+    """Convolution inverse, the division of the identity by a; requires a_1 = 1."""
     if a.coeff(1) != 1:
         raise LeadingCoefficientNotOne("inverse needs a_1 = 1")
-    n_max = a.n_max
-    nums, den = over_lcm(a.coeffs)
-    omega = [big_omega(n) for n in range(n_max + 1)]
-    powers = [den**k for k in range(max(omega) + 1)]
-    # A_d D^(Omega(d)-1) for d = 2..N
-    weights = [nums[d - 1] * powers[omega[d] - 1] for d in range(2, n_max + 1)]
-    out = [0, 1] + [0] * (n_max - 1)
-    for m in range(1, n_max // 2 + 1):
-        x = out[m]
-        if x:
-            out[2 * m :: m] = [v - w * x for v, w in zip(out[2 * m :: m], weights)]
-    return DirichletSeries._of(
-        tuple(Fraction(v, powers[omega[n]]) if v else _ZERO for n, v in enumerate(out) if n)
-    )
+    return DirichletSeries._of(_divide(DirichletSeries.one(a.n_max).coeffs, a.coeffs))
 
 
 def _exp_term(coeffs, n: int) -> Fraction:
@@ -155,38 +168,22 @@ def dirichlet_log(a: DirichletSeries) -> DirichletSeries:
 
     Omega is completely additive, so f -> Omega f is a derivation of the
     convolution, and L = log a satisfies Omega a = (Omega L) * a (Apostol,
-    Introduction to Analytic Number Theory, 2.18).  Hence
-    L_n = a_n - (1/Omega(n)) sum_{d|n, 1<d<n} Omega(d) L_d a_{n/d}.  Once L_d
-    is final, Omega(d) L_d a_m is pushed to index d*m as an unreduced integer
-    pair (numerator, denominator); index n sums its own pending pairs over
-    their lcm, so it sees only the denominators of its divisors.
+    Introduction to Analytic Number Theory, 2.18).  So Omega L is the one
+    division (Omega a) / a, and L_n is its coefficient n over Omega(n).
     """
     if a.coeff(1) != 1:
         raise LeadingCoefficientNotOne("log needs a_1 = 1")
-    cs, n_max = a.coeffs, a.n_max
-    pending = [[] for _ in range(n_max + 1)]  # pending[n]: the terms d, n/d > 1
-    out = [_ZERO] * n_max
-    for n in range(2, n_max + 1):
-        omega = big_omega(n)
-        terms, pending[n] = pending[n], None
-        x = cs[n - 1]
-        if terms:
-            den = lcm(*(d for _, d in terms))
-            s = sum(v * (den // d) for v, d in terms)
-            if s:
-                x -= Fraction(s, omega * den)
-        out[n - 1] = x
-        if x:
-            wn, wd = omega * x.numerator, x.denominator
-            for m in range(2, n_max // n + 1):
-                y = cs[m - 1]
-                if y:
-                    pending[n * m].append((wn * y.numerator, wd * y.denominator))
-    return DirichletSeries._of(tuple(out))
+    omega = [big_omega(n) for n in range(1, a.n_max + 1)]
+    scaled = _divide(tuple(w * c for w, c in zip(omega, a.coeffs)), a.coeffs)
+    return DirichletSeries._of(tuple(c / w if c else _ZERO for w, c in zip(omega, scaled)))
 
 
 def dirichlet_exp(a: DirichletSeries) -> DirichletSeries:
-    """Formal exponential of a series with a_1 = 0."""
+    """Formal exponential of a series with a_1 = 0, by decomposition sums.
+
+    On the benchmark's Dirichlet workload exp is the one caller of the traced
+    stirling.mult_decompositions, so it keeps these sums until that span moves.
+    """
     if a.coeff(1) != 0:
         raise LeadingCoefficientNotOne("exp needs a_1 = 0")
     out = [Fraction(1)]
@@ -236,13 +233,10 @@ def dir_v_poly(a: DirichletSeries, n: int) -> Poly:
 
 
 def dir_alpha_poly(a: DirichletSeries, n: int) -> Poly:
-    """Numerator of row n of <a> over (1-x)^(Omega(n)+1): x V^-1 applied to v~_n."""
+    """Numerator of row n of <a> over (1-x)^(Omega(n)+1), from v_n as for power series."""
     if n < 2:
         raise OutOfRange("rows are defined for n >= 2")
-    omega = big_omega(n)
-    v = dir_v_poly(a, n)
-    vec = tuple(v.coeff(k) for k in range(1, omega + 1))
-    return Poly(matrix_v_inv(omega).apply(vec)).shift_up(1)
+    return alpha_from_v(dir_v_poly(a, n), big_omega(n))
 
 
 def carlitz_hoggatt(r: int, p: int) -> Poly:

@@ -20,7 +20,7 @@ columns of the reduced polynomials u~ = u/x, alpha~ = alpha/x, v~ = v/x
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 from .errors import ConstantTermNotOne, InsufficientOrder, OutOfRange
@@ -32,12 +32,10 @@ class GepContext:
     """A series a (a(0) = 1, order >= n) together with its row polynomials.
 
     Only a truncated to order n is read.  v_n is row n of (1, a-1), off the
-    column loop of riordan.row_of_pair; alpha_n is convolved from v_n, and
-    u_n is x U_n^-1 alpha~ with the cached U_n^-1.  The verify row
-    "U u~ = alpha~ and V alpha~ = v~" compares u with row n of (1, log a).
+    column loop of riordan.row_of_pair; alpha_n is convolved from v_n; u_n,
+    built on first read, is x U_n^-1 alpha~ with the cached U_n^-1.  The
+    verify row "U u~ = alpha~ and V alpha~ = v~" compares u with row n of (1, log a).
     """
-
-    __slots__ = ("a", "n", "u", "v", "alpha")
 
     def __init__(self, a: Series, n: int):
         if n < 1:
@@ -51,11 +49,15 @@ class GepContext:
         self.a = a
         self.n = n
         self.v = row_of_pair(Series.one(n), a.truncate(n) - 1, n, n + 1)
-        self.alpha = _alpha_from_v(self.v, n)
-        self.u = Poly(matrix_u_inv(n).apply(self.alpha.shift_down(1).to_vector(n))).shift_up(1)
+        self.alpha = alpha_from_v(self.v, n)
+
+    @cached_property
+    def u(self) -> Poly:
+        return Poly(matrix_u_inv(self.n).apply(self.alpha.shift_down(1).to_vector(self.n))).shift_up(1)
 
 
-def _alpha_from_v(v: Poly, n: int) -> Poly:
+def alpha_from_v(v: Poly, n: int) -> Poly:
+    """alpha = sum_m v_m x^m (1-x)^(n-m): alpha_n from v_n, and with n = Omega(n) the Dirichlet row numerator."""
     alpha = Poly()
     for m in range(1, n + 1):
         c = v.coeff(m)

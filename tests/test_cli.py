@@ -128,6 +128,16 @@ class TestGep:
         assert code == 0
         assert out == "2x+4x^2+2x^3\n"
 
+    def test_only_u_builds_u_inverse(self, capsys, monkeypatch):
+        from riordan_gep import gep
+
+        calls = []
+        build = gep.matrix_u_inv
+        monkeypatch.setattr(gep, "matrix_u_inv", lambda n: calls.append(n) or build(n))
+        for which in ("alpha", "v", "u"):
+            assert run_cli(capsys, "gep", which, "--a", "exp(x)", "--n", "4")[0] == 0
+        assert calls == [4]
+
     def test_matrix_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "gep", "matrix", "Uinv", "--n", "3", "--format", "json"
@@ -243,6 +253,26 @@ class TestLimitsAndUsage:
         code, out, err = run_cli(capsys, "dirichlet", "g", "--p", "3", "--r", "3")  # order 20
         assert (code, out) == (1, "")
         assert err == "error: series order 20 exceeds RIORDAN_GEP_MAX_ORDER=10\n"
+
+    @pytest.mark.parametrize(
+        "argv, option, value",
+        [
+            (["abeta", "--n", "2", "--beta", "1e999999999"], "--beta", "1e999999999"),
+            (["abeta", "--n", "2", "--beta=-2.5E3"], "--beta", "-2.5E3"),
+            (["lagrange", "--a", "1+x", "--beta", "1", "--phi", "1e-9999999", "--order", "2"], "--phi", "1e-9999999"),
+        ],
+    )
+    def test_exponent_notation_is_a_usage_error(self, capsys, argv, option, value):
+        # Fraction() reads it, and 1e999999999 would be a billion-digit integer
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and err.count("error:") == 1
+        assert err.endswith(f"error: argument {option}: exponent notation is not accepted: {value!r}\n")
+
+    def test_plain_decimal_rational(self, capsys):
+        assert run_cli(capsys, "abeta", "--n", "2", "--beta", "0.5", "--format", "csv") == (0, "3/2,1/2\n-1/2,1/2\n", "")
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as info:
@@ -555,7 +585,7 @@ def _expressions():
 def _argv():
     expr = _expressions()
     small = st.integers(1, 6).map(str)
-    rational = st.sampled_from(("0", "1", "-1", "1/2", "-5/2", "2/3", "7", "x", "1/0"))
+    rational = st.sampled_from(("0", "1", "-1", "1/2", "-5/2", "2/3", "7", "x", "1/0", "0.25", "1e9999", "1E-9"))
     fmt = st.sampled_from(("pretty", "csv", "json"))
     commands = st.one_of(
         st.tuples(expr, st.integers(0, 8)).map(lambda t: ["series", "eval", f"({t[0]})", "--order", str(t[1])]),

@@ -5,6 +5,7 @@ from math import comb, factorial
 import pytest
 
 import golden_data as gd
+from riordan_gep import gep
 from riordan_gep.errors import ConstantTermNotOne, InsufficientOrder, OutOfRange
 from golden_data import convolution_numerator, geometric
 from riordan_gep.gep import (
@@ -98,6 +99,18 @@ class TestContext:
     def test_unit_constant_requirement(self):
         with pytest.raises(ConstantTermNotOne):
             GepContext(Series([2, 1], order=10), 3)
+
+    def test_u_is_built_on_first_read_only(self, monkeypatch):
+        calls = []
+        build = gep.matrix_u_inv
+        monkeypatch.setattr(gep, "matrix_u_inv", lambda n: calls.append(n) or build(n))
+        ctx = GepContext(exp(Series.x(12)), 12)
+        assert ctx.alpha == eulerian_poly(12) * F(1, factorial(12))
+        assert ctx.v.coeff(12) == 1
+        assert calls == []
+        assert ctx.u == Poly([0] * 12 + [1])  # row n of (1, x) is x^n
+        assert ctx.u is ctx.u
+        assert calls == [12]
 
 
 class TestUPoly:

@@ -5,7 +5,7 @@ recurrences that Series.__mul__, Poly.__mul__, reciprocal, log and exp used
 before the Kronecker product and Newton iteration; the Fraction divisor
 convolution, divisor-sum inverse and decomposition sums, the trial-division
 factorizations and the linear-scan decomposition enumeration that the
-Dirichlet layer used before its common-denominator kernel and sieve; the
+Dirichlet layer used before its integer kernels and sieve; the
 integer power and column loop that started from a product by 1; and the
 Fraction dot products of RMatrix.__mul__ and apply before their
 common-denominator kernel; the product of n linear factors per column
@@ -21,6 +21,7 @@ Every comparison is exact equality.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -558,12 +559,18 @@ def rand_dirichlet(rng, n, a1, dens):
     return DirichletSeries(cs)
 
 
+def wide(rng):
+    return lambda: rng.randint(2**60, 2**64)
+
+
 def denominators(rng, n):
     """Independent wide denominators while n is small; past that, wide ones
     drawn from a pool of four, whose lcm (and so the common denominator) stays
-    at 256 bits instead of growing with n."""
+    at 256 bits instead of growing with n.  dirichlet_mul still puts each
+    operand over one common denominator, which grows with n on independent
+    wide ones (open in ROADMAP item 1), so its operands come from the pool."""
     if n <= 40:
-        return lambda: rng.randint(2**60, 2**64)
+        return wide(rng)
     pool = [rng.randint(2**60, 2**64) for _ in range(4)] + [1, 2, 3]
     return lambda: rng.choice(pool)
 
@@ -580,6 +587,9 @@ class TestDirichlet:
         assert dirichlet_mul(a, b) == ref_dirichlet_mul(a, b)
         assert dirichlet_mul(b, b) == ref_dirichlet_mul(b, b)
         assert dirichlet_inv(a) == ref_dirichlet_inv(a)
+        # inv keeps each index over the denominators of its own divisors
+        independent = rand_dirichlet(rng, n, 1, wide(rng))
+        assert dirichlet_inv(independent) == ref_dirichlet_inv(independent)
         small = rand_dirichlet(rng, n, 1, lambda: rng.randint(1, 3))
         assert dirichlet_inv(small) == ref_dirichlet_inv(small)
         assert dirichlet_mul(a, small) == ref_dirichlet_mul(a, small)
@@ -602,6 +612,21 @@ class TestDirichlet:
         zeros |= {id(c) for c in prod.coeffs if c == 0}
         assert len(zeros) == 1
         assert all(type(c) is F for c in mu.coeffs + prod.coeffs)
+
+    def test_inverse_memory_follows_the_divisors(self):
+        # one 4096-bit denominator at the prime index 1999 reaches no other
+        # index below 2000, so no other coefficient may pay for it
+        cs = [F(1)] * 2000
+        cs[1998] = F(1, 2**4096 - 3)
+        a = DirichletSeries(cs)
+        tracemalloc.start()
+        try:
+            got = dirichlet_inv(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert got == ref_dirichlet_inv(a)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 13, 40, 150, 300])
     def test_log_and_exp(self, n):
