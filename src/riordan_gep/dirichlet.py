@@ -6,9 +6,11 @@ is divisor convolution.  The row polynomials of the power arrays <a>,
 replaced by decompositions into factors >= 2, and the numerator of row n
 lives over (1-x)^(Omega(n)+1).
 
-The kernels work on integer numerators: inv and log are one exact division
-(log through the derivation f -> Omega f), mul convolves over common
-denominators, and exp sums over the decompositions of n into factors >= 2.
+The kernels work on integer numerators: mul, inv and log push integer pairs
+to the multiples of each index, so each index sees only the denominators of
+its own divisors (inv and log are one exact division, log through the
+derivation f -> Omega f), and exp sums over the decompositions of n into
+factors >= 2.
 """
 
 from __future__ import annotations
@@ -75,54 +77,56 @@ class DirichletSeries:
         return f"DirichletSeries([{head}{', ...' if self.n_max > 8 else ''}])"
 
 
+def _push(num, den, n, x, nums, dens):
+    """Add x a_m to index n*m for m = 1..N/n, a_m = nums[m-1] / dens[m-1].
+
+    Index j keeps the integer pair num[j] / den[j], den[j] the lcm of the
+    denominators pushed to it, so it sees only those of its own divisors.
+    """
+    xn, xd = x.numerator, x.denominator
+    for m in range(1, len(nums) // n + 1):
+        p = nums[m - 1]
+        if p:
+            j, p, q = n * m, xn * p, xd * dens[m - 1]
+            if q == den[j]:
+                num[j] += p
+            else:
+                dl = lcm(den[j], q)
+                num[j], den[j] = num[j] * (dl // den[j]) + p * (dl // q), dl
+
+
 def dirichlet_mul(a: DirichletSeries, b: DirichletSeries) -> DirichletSeries:
     """Divisor convolution: coefficient n is sum over d|n of a_d b_{n/d}.
 
-    Both operands become integer numerators over their common denominators
-    da, db; the numerators are convolved over i*j <= N as integers, and each
-    output is one Fraction over da*db (zeros share one Fraction object).
-    Unlike _divide, it bets that the denominators share factors, as they do
-    for every series the CLI builds (ROADMAP item 1 weighs the per-index push).
+    Each nonzero a_n pushes a_n b_m to index n*m (_push), so each output is
+    one Fraction over the denominators of its own divisors (zeros share one
+    Fraction object).
     """
     n_max = min(a.n_max, b.n_max)
-    na, da = over_lcm(a.coeffs[:n_max])
-    nb, db = over_lcm(b.coeffs[:n_max])
-    out = [0] * (n_max + 1)  # out[n] is the numerator of coefficient n
-    for i, x in enumerate(na, 1):
+    bs = b.coeffs[:n_max]
+    nums, dens = [c.numerator for c in bs], [c.denominator for c in bs]
+    num, den = [0] * (n_max + 1), [1] * (n_max + 1)
+    for n, x in enumerate(a.coeffs[:n_max], 1):
         if x:
-            out[i::i] = [v + x * y for v, y in zip(out[i::i], nb)]
-    d = da * db
-    return DirichletSeries._of(tuple(Fraction(v, d) if v else _ZERO for v in out[1:]))
+            _push(num, den, n, x, nums, dens)
+    return DirichletSeries._of(tuple(Fraction(v, d) if v else _ZERO for v, d in zip(num[1:], den[1:])))
 
 
 def _divide(b, a) -> tuple:
     """The coefficients y = b * a^-1 of two coefficient tuples of one length, a_1 = 1.
 
     The forward recurrence y_n = b_n - sum_{k|n, k<n} y_k a_{n/k}: once y_k is
-    final, y_k a_m is added to index k*m as an integer pair.  Each index keeps
-    one running numerator over the lcm of the denominators pushed to it, so
-    it sees only the denominators of its own divisors.
+    final, _push adds y_k a_m to index k*m for m >= 2 (a_1 is zeroed).
     """
-    n_max = len(a)
-    nums, dens = [c.numerator for c in a], [c.denominator for c in a]
-    num, den = [0] * (n_max + 1), [1] * (n_max + 1)  # the sum pushed to index n
+    nums, dens = [0] + [c.numerator for c in a[1:]], [c.denominator for c in a]
+    num, den = [0] * (len(a) + 1), [1] * (len(a) + 1)  # the sum pushed to index n
     out = []
     for n, x in enumerate(b, 1):
         if num[n]:
             x = Fraction(x.numerator * den[n] - num[n] * x.denominator, x.denominator * den[n])
         out.append(x or _ZERO)
-        if not x:
-            continue
-        xn, xd = x.numerator, x.denominator
-        for m in range(2, n_max // n + 1):
-            p = nums[m - 1]
-            if p:
-                j, p, q = n * m, xn * p, xd * dens[m - 1]
-                if q == den[j]:
-                    num[j] += p
-                else:
-                    dl = lcm(den[j], q)
-                    num[j], den[j] = num[j] * (dl // den[j]) + p * (dl // q), dl
+        if x:
+            _push(num, den, n, x, nums, dens)
     return tuple(out)
 
 

@@ -3,8 +3,8 @@
 The JSON form is {"kind": ..., "n"/"rows"/"cols" when relevant,
 "entries": [[str]]} and round-trips losslessly.  A VerifyReport row is
 [suite, check, "ok" | "FAIL", detail], the detail being why a check failed
-(empty when it passed or merely returned false); verify._row makes every
-such row.
+(the exception it raised, or "made no comparison"; empty when it passed);
+verify._row makes every such row.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
 """Seeded verification suites covering every module invariant.
 
 Each check re-derives an identity with freshly generated random data (or
-fixed golden data) and compares by exact equality.  The CLI `verify`
-subcommand reports run_suites and `w --check` reports w_check_rows; both
-make each row with _row.  An object that several checks of a sweep read
-is built once (the powers of log A_n, the Dirichlet log a).
+fixed golden data) and states every comparison as _same(lhs, rhs, **case):
+exact equality, or Mismatch (an ArithmeticError) whose text quotes the
+comparison's source line and the case, say `n=3, beta=1/2`.  Checks and
+the identity functions return nothing.  The CLI `verify` subcommand
+reports run_suites and `w --check` reports w_check_rows; both make each
+row with _row, which reads ok only when the check raised nothing and made
+a comparison.  An object that several checks of a sweep read is built
+once (the powers of log A_n, the Dirichlet log a).
 
 Constructors build each object one way.  Every comparison with another
 route, and every module identity, lives here: W three ways, A^beta three
@@ -18,6 +22,7 @@ lagrange.lagrange_series and lagrange.log_abeta.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial
@@ -38,6 +43,27 @@ from .series import (
     reciprocal,
     reversion,
 )
+
+
+class Mismatch(ArithmeticError):
+    """An identity that did not hold: the comparison's source line and its case."""
+
+
+_compared = 0  # comparisons made so far; _row reads whether a check made one
+
+
+def _same(lhs, rhs, **case):
+    """Count one comparison and raise Mismatch unless lhs == rhs.  The text
+    quotes the caller's line, so every call to _same fits on one line."""
+    global _compared
+    _compared += 1
+    if lhs != rhs:
+        import linecache
+
+        caller = sys._getframe(1)
+        text = linecache.getline(caller.f_code.co_filename, caller.f_lineno).strip()
+        where = ", ".join(f"{k}={v}" for k, v in case.items())
+        raise Mismatch(f"{text} at {where}" if case else text)
 
 
 def _frac(rng, lo=-5, hi=5, den=4):
@@ -72,25 +98,18 @@ def check_ring_axioms(rng, max_n):
     order = _cap(12, max_n + 4 if max_n else 12)
     for _ in range(6):
         a, b, c = (_series(rng, order) for _ in range(3))
-        if (a * b) * c != a * (b * c):
-            return False
-        if a * (b + c) != a * b + a * c:
-            return False
-        if a * b != b * a:
-            return False
-    return True
+        _same((a * b) * c, a * (b * c))
+        _same(a * (b + c), a * b + a * c)
+        _same(a * b, b * a)
 
 
 def check_log_exp_inverse(rng, max_n):
     order = _cap(12, max_n + 4 if max_n else 12)
     for _ in range(6):
         a = _series(rng, order, a0=1)
-        if exp(log(a)) != a:
-            return False
+        _same(exp(log(a)), a)
         b = Series([0] + [_frac(rng) for _ in range(order)])
-        if log(exp(b)) != b:
-            return False
-    return True
+        _same(log(exp(b)), b)
 
 
 def check_pow_additivity(rng, max_n):
@@ -98,9 +117,7 @@ def check_pow_additivity(rng, max_n):
     for _ in range(5):
         a = _series(rng, order, a0=1)
         p, q = _frac(rng, -3, 3, 3), _frac(rng, -3, 3, 3)
-        if power(a, p + q) != power(a, p) * power(a, q):
-            return False
-    return True
+        _same(power(a, p + q), power(a, p) * power(a, q), p=p, q=q)
 
 
 def check_compose_associative(rng, max_n):
@@ -109,9 +126,7 @@ def check_compose_associative(rng, max_n):
         a = _series(rng, order)
         g = Series([0] + [_frac(rng) for _ in range(order)])
         h = Series([0] + [_frac(rng) for _ in range(order)])
-        if compose(compose(a, g), h) != compose(a, compose(g, h)):
-            return False
-    return True
+        _same(compose(compose(a, g), h), compose(a, compose(g, h)))
 
 
 def check_reversion_roundtrip(rng, max_n):
@@ -120,9 +135,8 @@ def check_reversion_roundtrip(rng, max_n):
     for _ in range(5):
         g = _series_a1_nonzero(rng, order) - 1
         h = reversion(g)
-        if compose(h, g) != ident or compose(g, h) != ident:
-            return False
-    return True
+        _same(compose(h, g), ident)
+        _same(compose(g, h), ident)
 
 
 # --------------------------------------------------------------- riordan
@@ -142,9 +156,7 @@ def check_fundamental_theorem(rng, max_n):
             riordan.RiordanArray(riordan.RiordanKind.ORDINARY, b, g),
         ):
             lhs = riordan.window(riordan.riordan_mul(A, B), size, size)
-            if lhs != riordan.window(A, size, size) * riordan.window(B, size, size):
-                return False
-    return True
+            _same(lhs, riordan.window(A, size, size) * riordan.window(B, size, size), B=B.kind.value)
 
 
 def check_pascal_group(rng, max_n):
@@ -152,9 +164,7 @@ def check_pascal_group(rng, max_n):
     for _ in range(5):
         p, q = _frac(rng), _frac(rng)
         lhs = routes.pascal_power(p, size) * routes.pascal_power(q, size)
-        if lhs != routes.pascal_power(p + q, size):
-            return False
-    return True
+        _same(lhs, routes.pascal_power(p + q, size), p=p, q=q)
 
 
 def check_inverse_series_array(rng, max_n):
@@ -171,9 +181,7 @@ def check_inverse_series_array(rng, max_n):
             ),
         )
         rhs = riordan.RiordanArray(riordan.RiordanKind.SQUARE, Series.one(order), reciprocal(a))
-        if riordan.window(lhs, size, size) != riordan.window(rhs, size, size):
-            return False
-    return True
+        _same(riordan.window(lhs, size, size), riordan.window(rhs, size, size))
 
 
 def check_shift_is_pascal_transpose(rng, max_n):
@@ -182,7 +190,7 @@ def check_shift_is_pascal_transpose(rng, max_n):
     shift = riordan.RiordanArray(
         riordan.RiordanKind.SQUARE, Series.one(order), Series([1, 1], order=order)
     )
-    return riordan.window(shift, size, size) == routes.pascal_power(1, size).transpose()
+    _same(riordan.window(shift, size, size), routes.pascal_power(1, size).transpose())
 
 
 def check_row_numerator(rng, max_n):
@@ -192,9 +200,7 @@ def check_row_numerator(rng, max_n):
         a = _series(rng, order, a0=1)
         A = riordan.RiordanArray(riordan.RiordanKind.SQUARE, Series.one(order), a)
         # row_numerator raises NotPolynomial unless the numerator has degree <= n
-        if routes.row_numerator(A, n) != gep.GepContext(a, n).alpha:
-            return False
-    return True
+        _same(routes.row_numerator(A, n), gep.GepContext(a, n).alpha)
 
 
 # -------------------------------------------------------------- stirling
@@ -208,9 +214,7 @@ def check_stirling_orthogonality(rng, max_n):
                 stirling.stirling1_signed(n, k) * stirling.stirling2(k, m)
                 for k in range(m, n + 1)
             )
-            if s != (1 if n == m else 0):
-                return False
-    return True
+            _same(s, 1 if n == m else 0, n=n, m=m)
 
 
 def check_v_is_bell(rng, max_n):
@@ -220,9 +224,7 @@ def check_v_is_bell(rng, max_n):
         a = _series(rng, order, a0=1)
         ctx = gep.GepContext(a, n)
         for m in range(1, n + 1):
-            if ctx.v.coeff(m) != routes.bell_partial(n, m, a.coeffs[1 : n + 1]):
-                return False
-    return True
+            _same(ctx.v.coeff(m), routes.bell_partial(n, m, a.coeffs[1 : n + 1]), m=m)
 
 
 def check_log_coeff_identity(rng, max_n):
@@ -235,9 +237,7 @@ def check_log_coeff_identity(rng, max_n):
                 Fraction((-1) ** (m + 1), m) * routes.bell_partial(p, m, a.coeffs[1 : p + 1])
                 for m in range(1, p + 1)
             )
-            if s != la.coeff(p):
-                return False
-    return True
+            _same(s, la.coeff(p), p=p)
 
 
 def check_u_bell_identity(rng, max_n):
@@ -248,8 +248,7 @@ def check_u_bell_identity(rng, max_n):
         ctx = gep.GepContext(a, n)
         an, acc = a.truncate(n), Series.one(n)
         for m in range(n + 1):  # u_n(m) = n! [x^n]a^m
-            if ctx.u(m) != factorial(n) * acc.coeff(n):
-                return False
+            _same(ctx.u(m), factorial(n) * acc.coeff(n), m=m)
             acc = acc * an
         b = log(a)
         expected = Poly(
@@ -259,9 +258,7 @@ def check_u_bell_identity(rng, max_n):
                 for m in range(1, n + 1)
             ]
         )
-        if ctx.u != expected:
-            return False
-    return True
+        _same(ctx.u, expected)
 
 
 # ------------------------------------------------------------------ gep
@@ -278,50 +275,39 @@ def check_pipeline(rng, max_n):
             ut = tuple(Fraction(factorial(n), factorial(m)) * row.coeff(m) for m in range(1, n + 1))
             at = tuple(ctx.alpha.coeff(k) for k in range(1, n + 1))
             vt = tuple(ctx.v.coeff(k) for k in range(1, n + 1))
-            if ut != tuple(ctx.u.coeff(k) for k in range(1, n + 1)):
-                return False
-            if gep.matrix_u(n).apply(ut) != at:
-                return False
-            if gep.matrix_v(n).apply(at) != vt:
-                return False
-            if gep.matrix_v_inv(n).apply(vt) != at:
-                return False
-    return True
+            _same(ut, tuple(ctx.u.coeff(k) for k in range(1, n + 1)), n=n)
+            _same(gep.matrix_u(n).apply(ut), at, n=n)
+            _same(gep.matrix_v(n).apply(at), vt, n=n)
+            _same(gep.matrix_v_inv(n).apply(vt), at, n=n)
 
 
 def check_u_inverse(rng, max_n):
     for n in range(1, _cap(16, max_n) + 1):
-        if gep.matrix_u(n) * gep.matrix_u_inv(n) != RMatrix.identity(n):
-            return False
-    return True
+        _same(gep.matrix_u(n) * gep.matrix_u_inv(n), RMatrix.identity(n), n=n)
 
 
-def check_theorem1(n: int) -> bool:
+def check_theorem1(n: int):
     """U_n . diag((-1)^p) == (-1)^(n+1) . Itilde_n . U_n, exactly."""
     u = gep.matrix_u(n)
     signs = RMatrix.diagonal([(-1) ** p for p in range(n)])
-    lhs = u * signs
-    rhs = (RMatrix.anti_identity(n) * u) * ((-1) ** (n + 1))
-    return lhs == rhs
+    _same(u * signs, (RMatrix.anti_identity(n) * u) * ((-1) ** (n + 1)), n=n)
 
 
 def check_theorem1_suite(rng, max_n):
-    return all(check_theorem1(n) for n in range(1, _cap(16, max_n) + 1))
+    for n in range(1, _cap(16, max_n) + 1):
+        check_theorem1(n)
 
 
-def check_theorem2(ctx: gep.GepContext) -> bool:
+def check_theorem2(ctx: gep.GepContext):
     """alpha_n(1) == a_1^n."""
-    return ctx.alpha(1) == ctx.a.coeff(1) ** ctx.n
+    _same(ctx.alpha(1), ctx.a.coeff(1) ** ctx.n, n=ctx.n)
 
 
 def check_theorem2_suite(rng, max_n):
     top = _cap(8, max_n)
     for _ in range(20):
         n = rng.randint(1, top)
-        a = _series(rng, 2 * n + 2, a0=1)
-        if not check_theorem2(gep.GepContext(a, n)):
-            return False
-    return True
+        check_theorem2(gep.GepContext(_series(rng, 2 * n + 2, a0=1), n))
 
 
 def check_reversal_identity(rng, max_n):
@@ -330,10 +316,7 @@ def check_reversal_identity(rng, max_n):
         a = _series(rng, 2 * n + 2, a0=1)
         alpha = gep.GepContext(a, n).alpha
         alpha_inv = gep.GepContext(reciprocal(a), n).alpha
-        expected = (alpha.reversed_to(n) * ((-1) ** n)).shift_up(1)
-        if alpha_inv != expected:
-            return False
-    return True
+        _same(alpha_inv, (alpha.reversed_to(n) * ((-1) ** n)).shift_up(1), n=n)
 
 
 def check_eulerian_specialization(rng, max_n):
@@ -347,54 +330,40 @@ def check_eulerian_specialization(rng, max_n):
             ]
         )
         a = gep.eulerian_poly(n)
-        if a != direct or gep.GepContext(exp(Series.x(n)), n).alpha * factorial(n) != a:
-            return False
-    return True
+        _same(a, direct, n=n)
+        _same(gep.GepContext(exp(Series.x(n)), n).alpha * factorial(n), a, n=n)
 
 
 def check_stirling_products_suite(rng, max_n):
     for n in range(1, _cap(12, max_n) + 1):
         vu, uv = gep.stirling_products(n)
-        if vu != gep.matrix_v(n) * gep.matrix_u(n):
-            return False
-        if uv != gep.matrix_u_inv(n) * gep.matrix_v_inv(n):
-            return False
-        if vu * uv != RMatrix.identity(n):
-            return False
-    return True
+        _same(vu, gep.matrix_v(n) * gep.matrix_u(n), n=n)
+        _same(uv, gep.matrix_u_inv(n) * gep.matrix_v_inv(n), n=n)
+        _same(vu * uv, RMatrix.identity(n), n=n)
 
 
 def reduce_degenerate(n: int, m: int):
     """Degenerate-row reductions of U_n^-1 and U_n.
 
-    Returns the pair
-      (U_n^-1 . ((1-x)^m, x) I_{n-m},  ((1-x)^{-m}, x) . U_n I_{n-m})
-    as (n-m)x(n-m) matrices.  The products have m vanishing trailing rows
-    and the retained blocks equal n!/(n-m)! U_{n-m}^-1 and (n-m)!/n! U_{n-m};
-    ArithmeticError reports the first that does not hold.
+    The products U_n^-1 . ((1-x)^m, x) I_{n-m} and ((1-x)^{-m}, x) . U_n I_{n-m}
+    have m vanishing trailing rows, and their leading (n-m)x(n-m) blocks equal
+    n!/(n-m)! U_{n-m}^-1 and (n-m)!/n! U_{n-m}; Mismatch reports the first
+    that does not hold.
     """
     if not (1 <= m < n):
         raise OutOfRange("need 1 <= m < n")
     k = n - m
     first = _restrict(gep.matrix_u_inv(n), m, grow=False)
-    if first is None:
-        raise ArithmeticError("reduction of U^-1 left nonzero tail rows")
-    if first != gep.matrix_u_inv(k) * Fraction(factorial(n), factorial(k)):
-        raise ArithmeticError("reduced U^-1 block has wrong value")
-
+    _same(first, gep.matrix_u_inv(k) * Fraction(factorial(n), factorial(k)), n=n, m=m)
     second = _restrict(gep.matrix_u(n), m, shrink=False)
-    if second is None:
-        raise ArithmeticError("reduction of U left nonzero tail rows")
-    if second != gep.matrix_u(k) * Fraction(factorial(k), factorial(n)):
-        raise ArithmeticError("reduced U block has wrong value")
-    return first, second
+    _same(second, gep.matrix_u(k) * Fraction(factorial(k), factorial(n)), n=n, m=m)
 
 
-def _restrict(M: RMatrix, m: int, grow: bool = True, shrink: bool = True):
-    """Leading (n-m) block of ((1-x)^-m, x) . M . ((1-x)^m, x) I_{n-m}, n = M.rows.
+def _restrict(M: RMatrix, m: int, grow: bool = True, shrink: bool = True) -> RMatrix:
+    """Leading (n-m) block of ((1-x)^-m, x) . M . ((1-x)^m, x) I_{n-m}, n = M.rows,
+    whose m trailing rows must vanish.
 
-    grow=False drops the left factor, shrink=False the (1-x)^m.  None (equal to
-    no matrix) when the m trailing rows of the product do not vanish.
+    grow=False drops the left factor, shrink=False the (1-x)^m.
     """
     n = M.rows
     k = n - m
@@ -404,12 +373,11 @@ def _restrict(M: RMatrix, m: int, grow: bool = True, shrink: bool = True):
         M = M.block(0, n, 0, k)
     if grow:
         M = routes.toeplitz_window(routes.geometric_negative_power(m, n), n, n) * M
-    if not M.block(k, n, 0, k).is_zero():
-        return None
+    _same(M.block(k, n, 0, k).is_zero(), True, m=m)
     return M.block(0, k, 0, k)
 
 
-def alpha_gf_check(phi, beta, t, order: int) -> bool:
+def alpha_gf_check(phi, beta, t, order: int):
     """Closed generating function for alpha_n(t) at a = (1 + phi x + beta x^2)^-1.
 
     sum_n alpha_n(t) x^n must equal
@@ -425,8 +393,7 @@ def alpha_gf_check(phi, beta, t, order: int) -> bool:
         lhs.append(gep.GepContext(a.truncate(n), n).alpha(t))
     numer = Series([1, phi * (1 - t), beta * (1 - t) ** 2], order=order)
     denom = Series([1, phi, beta * (1 - t)], order=order)
-    rhs = numer * reciprocal(denom)
-    return lhs == list(rhs.coeffs)
+    _same(lhs, list((numer * reciprocal(denom)).coeffs), phi=phi, beta=beta, t=t)
 
 
 def check_v_action(rng, max_n):
@@ -437,41 +404,35 @@ def check_v_action(rng, max_n):
         rhs = Poly()
         for j in range(n):
             rhs = rhs + (binomial_poly(n - 1 - j, 1) * c.coeff(j)).shift_up(j)
-        if lhs != rhs:
-            return False
-    return True
+        _same(lhs, rhs, n=n)
 
 
 # -------------------------------------------------------------------- w
 
 
-def w_column_sums_ok(W: RMatrix, m: int) -> bool:
+def w_column_sums_ok(W: RMatrix, m: int):
     """Every column of W = W_(n,m) sums to m^n."""
-    return all(s == Fraction(m) ** W.rows for s in W.col_sums())
+    _same(W.col_sums(), (Fraction(m) ** W.rows,) * W.cols, n=W.rows, m=m)
 
 
 def check_w_column_sums(rng, max_n):
     for n in range(1, _cap(10, max_n) + 1):
         for m in range(1, 6):
-            if not w_column_sums_ok(wmatrix.w_matrix(n, m), m):
-                return False
-    return True
+            w_column_sums_ok(wmatrix.w_matrix(n, m), m)
 
 
-def w_routes_agree(W: RMatrix, m: int) -> bool:
+def w_routes_agree(W: RMatrix, m: int):
     """W = W_(n,m) by decimation, U_n diag(m..m^n) U_n^-1 and V_n^-1 T^t V_n agree."""
     n = W.rows
     scale = RMatrix.diagonal([Fraction(m) ** (p + 1) for p in range(n)])
-    by_conjugation = gep.matrix_u(n) * scale * gep.matrix_u_inv(n)
-    return W == by_conjugation == wmatrix.w_alt_form(n, m)
+    _same(W, gep.matrix_u(n) * scale * gep.matrix_u_inv(n), n=n, m=m)
+    _same(W, wmatrix.w_alt_form(n, m), n=n, m=m)
 
 
 def check_w_constructions(rng, max_n):
     for n in range(1, _cap(8, max_n) + 1):
         for m in range(1, 5):
-            if not w_routes_agree(wmatrix.w_matrix(n, m), m):
-                return False
-    return True
+            w_routes_agree(wmatrix.w_matrix(n, m), m)
 
 
 def w_check_rows(W: RMatrix, m: int) -> list:
@@ -484,48 +445,43 @@ def w_check_rows(W: RMatrix, m: int) -> list:
     ]
 
 
-def w_identities(n: int, m: int, p: int) -> bool:
+def w_identities(n: int, m: int, p: int):
     """Multiplicativity, reversal commutation and the Eulerian eigenvector.
 
     W_(n,m) W_(n,p) = W_(n,mp);  W_(n,m) Itilde = Itilde W_(n,m);
     W_(n,m) A~_n = m^n A~_n.
     """
     wm = wmatrix.w_matrix(n, m)
-    wp = wmatrix.w_matrix(n, p)
-    if wm * wp != wmatrix.w_matrix(n, m * p):
-        return False
+    _same(wm * wmatrix.w_matrix(n, p), wmatrix.w_matrix(n, m * p), n=n, m=m, p=p)
     rev = RMatrix.anti_identity(n)
-    if wm * rev != rev * wm:
-        return False
+    _same(wm * rev, rev * wm, n=n, m=m)
     at = gep.eulerian_poly(n).shift_down(1).to_vector(n)
-    expected = tuple(Fraction(m) ** n * c for c in at)
-    return wm.apply(at) == expected
+    _same(wm.apply(at), tuple(Fraction(m) ** n * c for c in at), n=n, m=m)
 
 
 def check_w_identities_suite(rng, max_n):
     for n in range(1, _cap(8, max_n) + 1):
         for m, p in ((2, 2), (2, 3), (3, 4), (4, 2)):
-            if not w_identities(n, m, p):
-                return False
-    return True
+            w_identities(n, m, p)
 
 
-def w_restriction(n: int, m: int, p: int) -> bool:
+def w_restriction(n: int, m: int, p: int):
     """((1-x)^-p, x) W_(n,m) ((1-x)^p, x) I_{n-p} == W_(n-p, m).
 
-    p = 0 degenerates to W_(n,m) == W_(n,m) and returns True.
+    p = 0 degenerates to W_(n,m) == W_(n,m) and compares nothing.
     """
     if p == 0:
-        return True
+        return
     if not (1 <= p < n):
         raise OutOfRange("need 0 <= p < n")
-    return _restrict(wmatrix.w_matrix(n, m), p) == wmatrix.w_matrix(n - p, m)
+    _same(_restrict(wmatrix.w_matrix(n, m), p), wmatrix.w_matrix(n - p, m), n=n, m=m, p=p)
 
 
-def _maps_alpha(M: RMatrix, a: Series, b: Series) -> bool:
+def _maps_alpha(M: RMatrix, a: Series, b: Series, **case):
     """M maps alpha~_n of a to alpha~_n of b, n = M.rows."""
     n = M.rows
-    return _apply(M, gep.GepContext(a, n).alpha.shift_down(1)) == gep.GepContext(b, n).alpha.shift_down(1)
+    at, bt = (gep.GepContext(s, n).alpha.shift_down(1) for s in (a, b))
+    _same(_apply(M, at), bt, n=n, **case)
 
 
 def check_w_gep_semantics(rng, max_n):
@@ -533,9 +489,7 @@ def check_w_gep_semantics(rng, max_n):
     for n in range(1, top + 1):
         for m in (2, 3):
             a = _series(rng, 2 * n + 2, a0=1)
-            if not _maps_alpha(wmatrix.w_matrix(n, m), a, power(a, m)):
-                return False
-    return True
+            _maps_alpha(wmatrix.w_matrix(n, m), a, power(a, m), m=m)
 
 
 # ---------------------------------------------------------------- abeta
@@ -553,7 +507,7 @@ _BETAS = (
 )
 
 
-def abeta_routes_agree(n: int, beta) -> bool:
+def abeta_routes_agree(n: int, beta):
     """abeta_matrix, V_n^-1 D T^t D^-1 V_n and sum_{m<n} beta^m/m! (log A_n)^m agree."""
     beta, v = as_rational(beta), gep.matrix_v(n)
     by_dtilde = gep.matrix_v_inv(n) * RMatrix.from_cols(
@@ -563,7 +517,9 @@ def abeta_routes_agree(n: int, beta) -> bool:
     by_log = powers[0]
     for m in range(1, n):
         by_log = by_log + powers[m] * (beta**m / factorial(m))
-    return lagrange.abeta_matrix(n, beta) == by_dtilde == by_log
+    A = lagrange.abeta_matrix(n, beta)
+    _same(A, by_dtilde, n=n, beta=beta)
+    _same(A, by_log, n=n, beta=beta)
 
 
 @lru_cache(maxsize=64)
@@ -578,9 +534,8 @@ def _log_abeta_powers(n: int) -> tuple:
 
 def check_abeta_constructions(rng, max_n):
     for n in range(1, _cap(8, max_n) + 1):
-        if not all(abeta_routes_agree(n, beta) for beta in _BETAS):
-            return False
-    return True
+        for beta in _BETAS:
+            abeta_routes_agree(n, beta)
 
 
 def check_abeta_group_law(rng, max_n):
@@ -588,12 +543,10 @@ def check_abeta_group_law(rng, max_n):
         for _ in range(3):
             b1, b2 = _frac(rng, -3, 3, 3), _frac(rng, -3, 3, 3)
             lhs = lagrange.abeta_matrix(n, b1) * lagrange.abeta_matrix(n, b2)
-            if lhs != lagrange.abeta_matrix(n, b1 + b2):
-                return False
-    return True
+            _same(lhs, lagrange.abeta_matrix(n, b1 + b2), n=n, b1=b1, b2=b2)
 
 
-def abeta_identities(n: int, beta) -> bool:
+def abeta_identities(n: int, beta):
     """Reversal inversion, unit column sums and restriction.
 
     Itilde A^beta Itilde = A^-beta = (A^beta)^-1; every column of A_n^beta
@@ -603,16 +556,11 @@ def abeta_identities(n: int, beta) -> bool:
     A = _abeta_scaled(n, n_beta)
     rev = RMatrix.anti_identity(n)
     flipped = rev * A * rev
-    if flipped != _abeta_scaled(n, -n_beta):
-        return False
-    if flipped * A != RMatrix.identity(n):
-        return False
-    if any(s != 1 for s in A.col_sums()):
-        return False
+    _same(flipped, _abeta_scaled(n, -n_beta), n=n, beta=beta)
+    _same(flipped * A, RMatrix.identity(n), n=n, beta=beta)
+    _same(A.col_sums(), (1,) * n, n=n, beta=beta)
     for m in range(1, n):
-        if _restrict(A, m) != _abeta_scaled(n - m, n_beta):
-            return False
-    return True
+        _same(_restrict(A, m), _abeta_scaled(n - m, n_beta), n=n, beta=beta, m=m)
 
 
 @lru_cache(maxsize=512)
@@ -622,22 +570,21 @@ def _abeta_scaled(k: int, k_beta: Fraction) -> RMatrix:
     return lagrange.abeta_matrix(k, k_beta / k)
 
 
-def log_abeta_top_power(n: int) -> bool:
-    """Every column of (log A_n)^(n-1) is n^(n-2) (1-x)^(n-1); trivially true at n = 1."""
+def log_abeta_top_power(n: int):
+    """Every column of (log A_n)^(n-1) is n^(n-2) (1-x)^(n-1); nothing to compare at n = 1."""
     if n < 2:
-        return True
+        return
     top = _log_abeta_powers(n)[n - 1]
     expected_col = tuple(Fraction(n) ** (n - 2) * c for c in binomial_poly(n - 1, -1).to_vector(n))
-    return all(top.column(j) == expected_col for j in range(n))
+    for j in range(n):
+        _same(top.column(j), expected_col, n=n, j=j)
 
 
 def check_abeta_identities_suite(rng, max_n):
     for n in range(1, _cap(10, max_n) + 1):
-        if not all(abeta_identities(n, beta) for beta in _BETAS):
-            return False
-        if not log_abeta_top_power(n):
-            return False
-    return True
+        for beta in _BETAS:
+            abeta_identities(n, beta)
+        log_abeta_top_power(n)
 
 
 def check_abeta_gep_semantics(rng, max_n):
@@ -646,23 +593,19 @@ def check_abeta_gep_semantics(rng, max_n):
         for beta in (Fraction(1), Fraction(2), Fraction(1, 2)):
             a = _series(rng, 2 * n + 2, a0=1)
             deformed = lagrange.lagrange_coeffs(a, beta, 2 * n + 2)
-            if not _maps_alpha(lagrange.abeta_matrix(n, beta), a, deformed):
-                return False
-    return True
+            _maps_alpha(lagrange.abeta_matrix(n, beta), a, deformed, beta=beta)
 
 
-def check_functional_eq(a: Series, beta, order: int) -> bool:
+def check_functional_eq(a: Series, beta, order: int):
     """The deformed series by the coefficient formula equals it by reversion
     plus composition, and satisfies both functional equations to the order:
     b(x a^-beta(x)) = a(x)  and  a(x b^beta(x)) = b(x).
     """
     b = lagrange.lagrange_coeffs(a, beta, order)
-    if b != lagrange.lagrange_series(a, beta, order):
-        return False
+    _same(b, lagrange.lagrange_series(a, beta, order), beta=beta)
     a = a.truncate(order)
-    if compose(b, Series.x(order) * power(a, -beta)) != a:
-        return False
-    return compose(a, Series.x(order) * power(b, beta)) == b
+    _same(compose(b, Series.x(order) * power(a, -beta)), a, beta=beta)
+    _same(compose(a, Series.x(order) * power(b, beta)), b, beta=beta)
 
 
 def check_functional_equations(rng, max_n):
@@ -673,9 +616,7 @@ def check_functional_equations(rng, max_n):
     ] + [_series(rng, order, a0=1) for _ in range(3)]
     for a in bases:
         for beta in (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)):
-            if not check_functional_eq(a, beta, order):
-                return False
-    return True
+            check_functional_eq(a, beta, order)
 
 
 def check_deformed_u_identity(rng, max_n):
@@ -687,22 +628,17 @@ def check_deformed_u_identity(rng, max_n):
             deformed = lagrange.lagrange_coeffs(a, beta, 2 * n + 2)
             # u_b = x u_a(x + n beta) / (x + n beta); n beta != 0, so x and x + n beta are coprime
             lhs = gep.GepContext(deformed, n).u * Poly([n * beta, 1])
-            if lhs != u.shifted(n * beta).shift_up(1):
-                return False
-    return True
+            _same(lhs, u.shifted(n * beta).shift_up(1), n=n, beta=beta)
 
 
 def check_gbs_closed_form(rng, max_n):
     for n in range(1, _cap(10, max_n) + 1):
         for beta in _BETAS:
-            closed = routes.gbs_alpha_closed_form(n, beta)
             last = Poly(lagrange.abeta_matrix(n, beta).column(n - 1))
-            if closed != last.shift_up(1):
-                return False
-    return True
+            _same(routes.gbs_alpha_closed_form(n, beta), last.shift_up(1), n=n, beta=beta)
 
 
-def duality_check(n: int, beta) -> bool:
+def duality_check(n: int, beta):
     """The beta <-> 1-beta duality for the base series 1+x.
 
     Series level: the (1-beta)-deformation equals the reciprocal of the
@@ -714,20 +650,16 @@ def duality_check(n: int, beta) -> bool:
     a = Series([1, 1], order=order)
     lhs = lagrange.lagrange_coeffs(a, 1 - beta, order)
     rhs_base = reciprocal(lagrange.lagrange_coeffs(a, beta, order))
-    rhs = Series([c * (-1) ** i for i, c in enumerate(rhs_base.coeffs)])
-    if lhs != rhs:
-        return False
+    _same(lhs, Series([c * (-1) ** i for i, c in enumerate(rhs_base.coeffs)]), n=n, beta=beta)
     left_poly = routes.gbs_alpha_closed_form(n, 1 - beta)
     right_poly = routes.gbs_alpha_closed_form(n, beta).reversed_to(n).shift_up(1)
-    return left_poly == right_poly
+    _same(left_poly, right_poly, n=n, beta=beta)
 
 
 def check_duality(rng, max_n):
     for n in range(1, _cap(8, max_n) + 1):
         for beta in (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1)):
-            if not duality_check(n, beta):
-                return False
-    return True
+            duality_check(n, beta)
 
 
 def check_diagonal_tables(rng, max_n):
@@ -736,9 +668,8 @@ def check_diagonal_tables(rng, max_n):
     one_plus_x = Series([1, 1], order=cols + 2)
     cases = [(a, Fraction(1), v) for a in (one_plus_x, _series(rng, cols + 2, a0=1)) for v in (1, 2, -1, -2)]
     for a, beta, v in cases + [(one_plus_x, Fraction(2), 1)]:
-        if routes.diagonal_table(a, beta, v, ks, cols) != routes.diagonal_table_direct(a, beta, v, ks, cols):
-            return False
-    return True
+        table = routes.diagonal_table(a, beta, v, ks, cols)
+        _same(table, routes.diagonal_table_direct(a, beta, v, ks, cols), beta=beta, v=v)
 
 
 # ------------------------------------------------------------- dirichlet
@@ -756,15 +687,12 @@ def check_dirichlet_window_identities(rng, max_n):
         omega = ds.big_omega(n) if n > 1 else 0
         for k in range(cols):
             up = sum(minus[n - 1, j] * comb(k, j) for j in range(omega + 1))
-            if up != plain[n - 1, k]:
-                return False
+            _same(up, plain[n - 1, k], n=n, k=k)
             # [x^j](1+x)^-k = C(-k, j)
             down = sum(
                 minus[n - 1, j] * routes.rational_binomial(-k, j) for j in range(omega + 1)
             )
-            if down != inv[n - 1, k]:
-                return False
-    return True
+            _same(down, inv[n - 1, k], n=n, k=k)
 
 
 @lru_cache(maxsize=8)
@@ -781,9 +709,7 @@ def check_zeta_u_product(rng, max_n):
         expected = Poly([1])
         for _, mult in ds.factorize(n).items():
             expected = expected * routes.rising_factorial_poly(mult) * Fraction(1, factorial(mult))
-        if u != expected * factorial(n):
-            return False
-    return True
+        _same(u, expected * factorial(n), n=n)
 
 
 def check_dir_alpha_routes(rng, max_n):
@@ -797,12 +723,10 @@ def check_dir_alpha_routes(rng, max_n):
             ut = tuple(u.coeff(k) for k in range(1, omega + 1))
             scale = Fraction(factorial(omega), factorial(n))
             by_u = Poly([scale * c for c in gep.matrix_u(omega).apply(ut)]).shift_up(1)
-            if ds.dir_alpha_poly(base, n) != by_u:
-                return False
-    return True
+            _same(ds.dir_alpha_poly(base, n), by_u, n=n)
 
 
-def dir_palindromy_check(r: int, p: int) -> bool:
+def dir_palindromy_check(r: int, p: int):
     """Palindromy of the Carlitz-Hoggatt polynomial and its reversal identity.
 
     Coefficients satisfy g_m = g_{p*r - p - m + 2} for 1 <= m <= p*r - p + 1,
@@ -811,9 +735,8 @@ def dir_palindromy_check(r: int, p: int) -> bool:
     g = ds.carlitz_hoggatt(r, p)
     deg = p * r - p + 1
     for m in range(1, deg + 1):
-        if g.coeff(m) != g.coeff(p * r - p - m + 2):
-            return False
-    return g.reversed_to(p * r).shift_up(1) == g.shift_up(p - 1)
+        _same(g.coeff(m), g.coeff(p * r - p - m + 2), r=r, p=p, m=m)
+    _same(g.reversed_to(p * r).shift_up(1), g.shift_up(p - 1), r=r, p=p)
 
 
 def check_carlitz_values(rng, max_n):
@@ -821,11 +744,8 @@ def check_carlitz_values(rng, max_n):
         for r in range(1, 4):
             g = ds.carlitz_hoggatt(r, p)
             # the coefficient sum is (p r)! / (p!)^r
-            if g(1) != Fraction(factorial(p * r), factorial(p) ** r):
-                return False
-            if not dir_palindromy_check(r, p):
-                return False
-    return True
+            _same(g(1), Fraction(factorial(p * r), factorial(p) ** r), r=r, p=p)
+            dir_palindromy_check(r, p)
 
 
 # ------------------------------------------------------------------ cli
@@ -834,12 +754,9 @@ def check_carlitz_values(rng, max_n):
 def check_parser_roundtrip(rng, max_n):
     from .expr import parse_expr
 
-    corpus = _expression_corpus()
-    for text in corpus:
+    for text in _expression_corpus():
         ast = parse_expr(text)
-        if parse_expr(routes.unparse(ast)) != ast:
-            return False
-    return True
+        _same(parse_expr(routes.unparse(ast)), ast, text=text)
 
 
 def check_json_roundtrip(rng, max_n):
@@ -851,7 +768,8 @@ def check_json_roundtrip(rng, max_n):
         matrix_doc(gep.matrix_u(3), n=3),
         OutputDoc(kind="VerifyReport", entries=[["gep", "demo", "FAIL", "ValueError: a, \"b\""]]),
     ]
-    return all(OutputDoc.from_json(d.to_json()) == d for d in docs)
+    for d in docs:
+        _same(OutputDoc.from_json(d.to_json()), d, kind=d.kind)
 
 
 def _expression_corpus():
@@ -965,9 +883,14 @@ def run_suites(which: str = "all", seed: int = 0, max_n: int | None = None) -> l
 
 
 def _row(suite: str, name: str, check) -> list:
-    """The VerifyReport row [suite, name, "ok" | "FAIL", detail] of check();
-    a check that raises fails with the exception as its detail."""
+    """The VerifyReport row [suite, name, "ok" | "FAIL", detail] of check().
+    It is ok only when check() raised nothing and made a comparison; a check
+    that raises fails with the exception as its detail."""
+    made = _compared
     try:
-        return [suite, name, "ok" if check() else "FAIL", ""]
+        check()
     except Exception as exc:
         return [suite, name, "FAIL", f"{type(exc).__name__}: {exc}"]
+    if _compared == made:
+        return [suite, name, "FAIL", "made no comparison"]
+    return [suite, name, "ok", ""]

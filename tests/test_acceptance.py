@@ -71,17 +71,19 @@ def test_criterion_2_eulerian_polynomials():
 
 def test_criterion_3_theorem_suites():
     rng = random.Random(101)
-    ok = all(verify.check_theorem1(n) for n in range(1, 17))
+    # the verify identity functions raise verify.Mismatch when an identity fails
+    for n in range(1, 17):
+        verify.check_theorem1(n)
     for _ in range(20):
         n = rng.randint(1, 8)
-        ok = ok and verify.check_theorem2(gep.GepContext(rand_unit_series(rng, 2 * n + 2), n))
-    ok = ok and all(
+        verify.check_theorem2(gep.GepContext(rand_unit_series(rng, 2 * n + 2), n))
+    ok = all(
         gep.matrix_u(n) * gep.matrix_u_inv(n) == RMatrix.identity(n) for n in range(1, 17)
     )
     # W three ways: decimation, U-conjugation and the V-form
     for n in range(1, 9):
         for m in range(1, 5):
-            ok = ok and verify.w_routes_agree(wmatrix.w_matrix(n, m), m)
+            verify.w_routes_agree(wmatrix.w_matrix(n, m), m)
     for n in range(1, 11):
         for m in range(1, 6):
             ok = ok and all(
@@ -112,13 +114,11 @@ def test_criterion_4_pipeline_identities():
     # degenerate-row reductions of U and U^-1
     for n in range(2, 9):
         for m in range(1, n):
-            try:
-                verify.reduce_degenerate(n, m)
-            except ArithmeticError:
-                ok = False
+            verify.reduce_degenerate(n, m)
     # restriction identity for the shift conjugation
     for n in range(2, 9):
-        ok = ok and verify.abeta_identities(n, F(1, 2)) and verify.log_abeta_top_power(n)
+        verify.abeta_identities(n, F(1, 2))
+        verify.log_abeta_top_power(n)
     # Bell-sum identities for the v/u coefficients and log
     from riordan_gep.series import log as series_log
     from riordan_gep.routes import bell_partial
@@ -186,7 +186,7 @@ def test_criterion_5_example_reproductions():
         phi = F(rng.randint(-3, 3), rng.randint(1, 3))
         beta = F(rng.randint(-3, 3), rng.randint(1, 3))
         t = F(rng.randint(-3, 3), rng.randint(1, 3))
-        ok = ok and verify.alpha_gf_check(phi, beta, t, 8)
+        verify.alpha_gf_check(phi, beta, t, 8)
 
     # odd-part identity for the doubled geometric series
     for n in range(1, 11):
@@ -223,12 +223,11 @@ def test_criterion_5_example_reproductions():
 
 def test_criterion_6_functional_equations():
     rng = random.Random(109)
-    ok = True
     for _ in range(10):
         a = rand_unit_series(rng, 12)
         for beta in (1, -1, 2, F(1, 2)):
-            ok = ok and verify.check_functional_eq(a, beta, 12)
-    report("criterion 6 (functional equations)", ok)
+            verify.check_functional_eq(a, beta, 12)
+    report("criterion 6 (functional equations)", True)
 
 
 def test_criterion_7_dirichlet_suite():
@@ -250,7 +249,7 @@ def test_criterion_7_dirichlet_suite():
         for r in range(1, 4):
             g = ds.carlitz_hoggatt(r, p)
             ok = ok and g(1) == F(factorial(p * r), factorial(p) ** r)
-            ok = ok and verify.dir_palindromy_check(r, p)
+            verify.dir_palindromy_check(r, p)
     for n in range(1, 6):
         ok = ok and ds.carlitz_hoggatt(n, 1) == gep.eulerian_poly(n)
     report("criterion 7 (Dirichlet suite)", ok)
@@ -265,7 +264,7 @@ def test_criterion_8_polynomial_stand_ins():
         phi = F(rng.randint(-3, 3), rng.randint(1, 3))
         beta = F(rng.randint(-3, 3), rng.randint(1, 3))
         t = F(rng.randint(-3, 3), rng.randint(1, 3))
-        ok = ok and verify.alpha_gf_check(phi, beta, t, 8)
+        verify.alpha_gf_check(phi, beta, t, 8)
     for n in range(1, 11):
         col = Poly(wmatrix.w_matrix(n, 2).column(0))  # W applied to alpha~ = 1
         spread = Poly([col.coeff(k // 2) if k % 2 == 0 else 0 for k in range(2 * n + 1)])

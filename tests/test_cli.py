@@ -512,7 +512,7 @@ def test_verify_reports_why_a_check_crashed(capsys, monkeypatch):
         raise ZeroDivisionError("no inverse, sorry")
 
     def passes(rng, max_n):
-        return True
+        verify_mod._same(1, 1)
 
     registry = [("gep", "crashes", crashes), ("gep", "passes", passes)]
     monkeypatch.setattr(verify_mod, "REGISTRY", registry, raising=True)
@@ -555,7 +555,7 @@ def test_w_check_reports_failures_with_nonzero_exit(capsys, monkeypatch):
     monkeypatch.setattr(verify_mod, "w_routes_agree", lambda W, m: False)
     code, out, _ = run_cli(capsys, "w", "--n", "3", "--m", "2", "--check", "--format", "csv")
     assert code == 1
-    assert out.splitlines()[1] == "w,alternative construction agrees,FAIL,"
+    assert out.splitlines()[1] == "w,alternative construction agrees,FAIL,made no comparison"
 
 
 # ---------------------------------------------------------------- generated argv

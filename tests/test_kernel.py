@@ -563,18 +563,6 @@ def wide(rng):
     return lambda: rng.randint(2**60, 2**64)
 
 
-def denominators(rng, n):
-    """Independent wide denominators while n is small; past that, wide ones
-    drawn from a pool of four, whose lcm (and so the common denominator) stays
-    at 256 bits instead of growing with n.  dirichlet_mul still puts each
-    operand over one common denominator, which grows with n on independent
-    wide ones (open in ROADMAP item 1), so its operands come from the pool."""
-    if n <= 40:
-        return wide(rng)
-    pool = [rng.randint(2**60, 2**64) for _ in range(4)] + [1, 2, 3]
-    return lambda: rng.choice(pool)
-
-
 DIRICHLET_SIZES = [1, 2, 3, 4, 5, 8, 13, 30, 40, 64, 128, 300, 600]
 
 
@@ -582,14 +570,12 @@ class TestDirichlet:
     @pytest.mark.parametrize("n", DIRICHLET_SIZES)
     def test_mul_and_inverse(self, n):
         rng = random.Random(f"dirichlet:{n}")
-        dens = denominators(rng, n)
-        a, b = rand_dirichlet(rng, n, 1, dens), rand_dirichlet(rng, n, F(-7, 3), dens)
+        # independent wide denominators at every size: mul and inv keep each
+        # index over the denominators of its own divisors
+        a, b = rand_dirichlet(rng, n, 1, wide(rng)), rand_dirichlet(rng, n, F(-7, 3), wide(rng))
         assert dirichlet_mul(a, b) == ref_dirichlet_mul(a, b)
         assert dirichlet_mul(b, b) == ref_dirichlet_mul(b, b)
         assert dirichlet_inv(a) == ref_dirichlet_inv(a)
-        # inv keeps each index over the denominators of its own divisors
-        independent = rand_dirichlet(rng, n, 1, wide(rng))
-        assert dirichlet_inv(independent) == ref_dirichlet_inv(independent)
         small = rand_dirichlet(rng, n, 1, lambda: rng.randint(1, 3))
         assert dirichlet_inv(small) == ref_dirichlet_inv(small)
         assert dirichlet_mul(a, small) == ref_dirichlet_mul(a, small)
@@ -613,25 +599,39 @@ class TestDirichlet:
         assert len(zeros) == 1
         assert all(type(c) is F for c in mu.coeffs + prod.coeffs)
 
-    def test_inverse_memory_follows_the_divisors(self):
+    @staticmethod
+    def one_wide_denominator():
         # one 4096-bit denominator at the prime index 1999 reaches no other
         # index below 2000, so no other coefficient may pay for it
         cs = [F(1)] * 2000
         cs[1998] = F(1, 2**4096 - 3)
-        a = DirichletSeries(cs)
+        return DirichletSeries(cs)
+
+    @staticmethod
+    def peak_of(fn, *args):
         tracemalloc.start()
         try:
-            got = dirichlet_inv(a)
-            peak = tracemalloc.get_traced_memory()[1]
+            got = fn(*args)
+            return got, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_inverse_memory_follows_the_divisors(self):
+        a = self.one_wide_denominator()
+        got, peak = self.peak_of(dirichlet_inv, a)
         assert peak < 2**20
         assert got == ref_dirichlet_inv(a)
+
+    def test_mul_memory_follows_the_divisors(self):
+        a, z = self.one_wide_denominator(), DirichletSeries.zeta(2000)
+        got, peak = self.peak_of(dirichlet_mul, a, z)
+        assert peak < 2**20
+        assert got == ref_dirichlet_mul(a, z)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 13, 40, 150, 300])
     def test_log_and_exp(self, n):
         rng = random.Random(f"dirichlet-log:{n}")
-        dens = denominators(rng, n) if n <= 40 else (lambda: rng.randint(1, 9))
+        dens = wide(rng) if n <= 40 else (lambda: rng.randint(1, 9))
         a = rand_dirichlet(rng, n, 1, dens)
         assert dirichlet_log(a) == ref_dirichlet_log(a)
         nil = rand_dirichlet(rng, n, 0, dens)
