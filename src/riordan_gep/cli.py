@@ -210,7 +210,7 @@ def _dispatch(args):
         _check_limit((2 if args.check else 1) * args.m * n - 1, "series order")
         w = w_matrix(n, args.m)
         if args.check:
-            from .verify import w_check_rows
+            from .suites.w import w_check_rows
 
             return partial(OutputDoc, "VerifyReport", w_check_rows(w, args.m))
         return partial(matrix_doc, w, n=n)

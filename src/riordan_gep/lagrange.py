@@ -11,7 +11,7 @@ applied to the columns of E^(n beta) U_n^-1, E^s the shift c(x) -> c(x+s).
 
 Every other route lives on the verify side: routes.py builds the paper's
 V_n^-1 D T^t D^-1 V_n, the closed binomial form of alpha_n for 1+x and
-the diagonal tables, and verify compares them.  Two verify routes stay
+the diagonal tables, and suites/abeta.py compares them.  Two routes stay
 here because perfbench traces them by module: lagrange_series (reversion
 plus composition, row "functional equations of the deformation") and
 log_abeta (the truncated exponential of row "three constructions agree").

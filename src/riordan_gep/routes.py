@@ -8,9 +8,9 @@ the additive partial Bell sums; the closed binomial form of alpha_n for
 deformation; the Dirichlet u rows from Bell sums of log a, which the
 caller takes once per series; and the minimal-parenthesis printer of
 expr ASTs.  u as row n of (1, log a) needs only riordan.row_of_pair, so
-verify.check_pipeline reads it there.  verify decides which route each
-check compares, and it is the only module that imports this one, so no
-other command compiles it.
+suites.gep.check_pipeline reads it there.  The verify suites decide which
+route each check compares; only they and verify._restrict import this
+module, so no other command compiles it, nor `verify series` or `w --check`.
 """
 
 from __future__ import annotations

@@ -1,0 +1,189 @@
+"""Suite `abeta`: A_n^beta three ways, its group law and identities, and the
+generalized Lagrange series behind it."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial
+
+from .. import gep, lagrange, routes
+from ..matrix import RMatrix
+from ..series import Poly, Series, as_rational, binomial_poly, compose, exp, power, reciprocal
+from ..verify import _cap, _frac, _maps_alpha, _restrict, _same, _series, _series_a1_nonzero
+
+_BETAS = (
+    Fraction(1),
+    Fraction(-1),
+    Fraction(2),
+    Fraction(-2),
+    Fraction(1, 2),
+    Fraction(-1, 2),
+    Fraction(1, 3),
+    Fraction(-1, 3),
+)
+
+
+def abeta_routes_agree(n: int, beta):
+    """abeta_matrix, V_n^-1 D T^t D^-1 V_n and sum_{m<n} beta^m/m! (log A_n)^m agree."""
+    beta, v = as_rational(beta), gep.matrix_v(n)
+    by_dtilde = gep.matrix_v_inv(n) * RMatrix.from_cols(
+        routes.vtilde_transform(n, beta, Poly(v.column(j))).to_vector(n) for j in range(n)
+    )
+    powers = _log_abeta_powers(n)
+    by_log = powers[0]
+    for m in range(1, n):
+        by_log = by_log + powers[m] * (beta**m / factorial(m))
+    A = lagrange.abeta_matrix(n, beta)
+    _same(A, by_dtilde, n=n, beta=beta)
+    _same(A, by_log, n=n, beta=beta)
+
+
+@lru_cache(maxsize=64)
+def _log_abeta_powers(n: int) -> tuple:
+    """(log A_n)^m for m = 0, ..., n-1, built once per n for every beta."""
+    gen = lagrange.log_abeta(n)
+    powers = [RMatrix.identity(n)]
+    for _ in range(1, n):
+        powers.append(powers[-1] * gen)
+    return tuple(powers)
+
+
+def check_abeta_constructions(rng, max_n):
+    for n in range(1, _cap(8, max_n) + 1):
+        for beta in _BETAS:
+            abeta_routes_agree(n, beta)
+
+
+def check_abeta_group_law(rng, max_n):
+    for n in range(1, _cap(8, max_n) + 1):
+        for _ in range(3):
+            b1, b2 = _frac(rng, -3, 3, 3), _frac(rng, -3, 3, 3)
+            lhs = lagrange.abeta_matrix(n, b1) * lagrange.abeta_matrix(n, b2)
+            _same(lhs, lagrange.abeta_matrix(n, b1 + b2), n=n, b1=b1, b2=b2)
+
+
+def abeta_identities(n: int, beta):
+    """Reversal inversion, unit column sums and restriction.
+
+    Itilde A^beta Itilde = A^-beta = (A^beta)^-1; every column of A_n^beta
+    sums to 1; conjugating by ((1-x)^m, x) restricts to A_{n-m}^{n beta/(n-m)}.
+    """
+    n_beta = n * as_rational(beta)
+    A = _abeta_scaled(n, n_beta)
+    rev = RMatrix.anti_identity(n)
+    flipped = rev * A * rev
+    _same(flipped, _abeta_scaled(n, -n_beta), n=n, beta=beta)
+    _same(flipped * A, RMatrix.identity(n), n=n, beta=beta)
+    _same(A.col_sums(), (1,) * n, n=n, beta=beta)
+    for m in range(1, n):
+        _same(_restrict(A, m), _abeta_scaled(n - m, n_beta), n=n, beta=beta, m=m)
+
+
+@lru_cache(maxsize=512)
+def _abeta_scaled(k: int, k_beta: Fraction) -> RMatrix:
+    """A_k^(k_beta / k).  Keyed by k*beta, so the restriction targets of every
+    (n, beta) with the same n*beta are built once."""
+    return lagrange.abeta_matrix(k, k_beta / k)
+
+
+def log_abeta_top_power(n: int):
+    """Every column of (log A_n)^(n-1) is n^(n-2) (1-x)^(n-1); nothing to compare at n = 1."""
+    if n < 2:
+        return
+    top = _log_abeta_powers(n)[n - 1]
+    expected_col = tuple(Fraction(n) ** (n - 2) * c for c in binomial_poly(n - 1, -1).to_vector(n))
+    for j in range(n):
+        _same(top.column(j), expected_col, n=n, j=j)
+
+
+def check_abeta_identities_suite(rng, max_n):
+    for n in range(1, _cap(10, max_n) + 1):
+        for beta in _BETAS:
+            abeta_identities(n, beta)
+        log_abeta_top_power(n)
+
+
+def check_abeta_gep_semantics(rng, max_n):
+    top = _cap(6, max_n)
+    for n in range(1, top + 1):
+        for beta in (Fraction(1), Fraction(2), Fraction(1, 2)):
+            a = _series(rng, 2 * n + 2, a0=1)
+            deformed = lagrange.lagrange_coeffs(a, beta, 2 * n + 2)
+            _maps_alpha(lagrange.abeta_matrix(n, beta), a, deformed, beta=beta)
+
+
+def check_functional_eq(a: Series, beta, order: int):
+    """The deformed series by the coefficient formula equals it by reversion
+    plus composition, and satisfies both functional equations to the order:
+    b(x a^-beta(x)) = a(x)  and  a(x b^beta(x)) = b(x).
+    """
+    b = lagrange.lagrange_coeffs(a, beta, order)
+    _same(b, lagrange.lagrange_series(a, beta, order), beta=beta)
+    a = a.truncate(order)
+    _same(compose(b, Series.x(order) * power(a, -beta)), a, beta=beta)
+    _same(compose(a, Series.x(order) * power(b, beta)), b, beta=beta)
+
+
+def check_functional_equations(rng, max_n):
+    order = _cap(12, max_n + 4 if max_n else 12)
+    bases = [
+        Series([1, 1], order=order),
+        exp(Series.x(order)),
+    ] + [_series(rng, order, a0=1) for _ in range(3)]
+    for a in bases:
+        for beta in (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)):
+            check_functional_eq(a, beta, order)
+
+
+def check_deformed_u_identity(rng, max_n):
+    top = _cap(6, max_n)
+    for n in range(1, top + 1):
+        for beta in (Fraction(1), Fraction(1, 2), Fraction(-2)):
+            a = _series_a1_nonzero(rng, 2 * n + 2)
+            u = gep.GepContext(a, n).u
+            deformed = lagrange.lagrange_coeffs(a, beta, 2 * n + 2)
+            # u_b = x u_a(x + n beta) / (x + n beta); n beta != 0, so x and x + n beta are coprime
+            lhs = gep.GepContext(deformed, n).u * Poly([n * beta, 1])
+            _same(lhs, u.shifted(n * beta).shift_up(1), n=n, beta=beta)
+
+
+def check_gbs_closed_form(rng, max_n):
+    for n in range(1, _cap(10, max_n) + 1):
+        for beta in _BETAS:
+            last = Poly(lagrange.abeta_matrix(n, beta).column(n - 1))
+            _same(routes.gbs_alpha_closed_form(n, beta), last.shift_up(1), n=n, beta=beta)
+
+
+def duality_check(n: int, beta):
+    """The beta <-> 1-beta duality for the base series 1+x.
+
+    Series level: the (1-beta)-deformation equals the reciprocal of the
+    beta-deformation evaluated at -x (checked to order 2n).  Polynomial
+    level: alpha_n picks up reversal, x Ihat_n alpha_n.
+    """
+    beta = as_rational(beta)
+    order = 2 * n
+    a = Series([1, 1], order=order)
+    lhs = lagrange.lagrange_coeffs(a, 1 - beta, order)
+    rhs_base = reciprocal(lagrange.lagrange_coeffs(a, beta, order))
+    _same(lhs, Series([c * (-1) ** i for i, c in enumerate(rhs_base.coeffs)]), n=n, beta=beta)
+    left_poly = routes.gbs_alpha_closed_form(n, 1 - beta)
+    right_poly = routes.gbs_alpha_closed_form(n, beta).reversed_to(n).shift_up(1)
+    _same(left_poly, right_poly, n=n, beta=beta)
+
+
+def check_duality(rng, max_n):
+    for n in range(1, _cap(8, max_n) + 1):
+        for beta in (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1)):
+            duality_check(n, beta)
+
+
+def check_diagonal_tables(rng, max_n):
+    cols = _cap(6, max_n)
+    ks = range(-3, 4)
+    one_plus_x = Series([1, 1], order=cols + 2)
+    cases = [(a, Fraction(1), v) for a in (one_plus_x, _series(rng, cols + 2, a0=1)) for v in (1, 2, -1, -2)]
+    for a, beta, v in cases + [(one_plus_x, Fraction(2), 1)]:
+        table = routes.diagonal_table(a, beta, v, ks, cols)
+        _same(table, routes.diagonal_table_direct(a, beta, v, ks, cols), beta=beta, v=v)

@@ -10,10 +10,14 @@ from math import comb, factorial
 import golden_data as gd
 from golden_data import convolution_numerator, geometric
 from riordan_gep import dirichlet as ds
-from riordan_gep import gep, lagrange, routes, verify, wmatrix
+from riordan_gep import gep, lagrange, routes, wmatrix
 from riordan_gep.cli import main
 from riordan_gep.matrix import RMatrix
 from riordan_gep.series import Poly, Series, binomial_poly, power, reciprocal
+from riordan_gep.suites.abeta import abeta_identities, check_functional_eq, log_abeta_top_power
+from riordan_gep.suites.dirichlet import dir_palindromy_check
+from riordan_gep.suites.gep import alpha_gf_check, check_theorem1, check_theorem2, reduce_degenerate
+from riordan_gep.suites.w import w_routes_agree
 
 
 def report(name, ok):
@@ -73,17 +77,17 @@ def test_criterion_3_theorem_suites():
     rng = random.Random(101)
     # the verify identity functions raise verify.Mismatch when an identity fails
     for n in range(1, 17):
-        verify.check_theorem1(n)
+        check_theorem1(n)
     for _ in range(20):
         n = rng.randint(1, 8)
-        verify.check_theorem2(gep.GepContext(rand_unit_series(rng, 2 * n + 2), n))
+        check_theorem2(gep.GepContext(rand_unit_series(rng, 2 * n + 2), n))
     ok = all(
         gep.matrix_u(n) * gep.matrix_u_inv(n) == RMatrix.identity(n) for n in range(1, 17)
     )
     # W three ways: decimation, U-conjugation and the V-form
     for n in range(1, 9):
         for m in range(1, 5):
-            verify.w_routes_agree(wmatrix.w_matrix(n, m), m)
+            w_routes_agree(wmatrix.w_matrix(n, m), m)
     for n in range(1, 11):
         for m in range(1, 6):
             ok = ok and all(
@@ -114,11 +118,11 @@ def test_criterion_4_pipeline_identities():
     # degenerate-row reductions of U and U^-1
     for n in range(2, 9):
         for m in range(1, n):
-            verify.reduce_degenerate(n, m)
+            reduce_degenerate(n, m)
     # restriction identity for the shift conjugation
     for n in range(2, 9):
-        verify.abeta_identities(n, F(1, 2))
-        verify.log_abeta_top_power(n)
+        abeta_identities(n, F(1, 2))
+        log_abeta_top_power(n)
     # Bell-sum identities for the v/u coefficients and log
     from riordan_gep.series import log as series_log
     from riordan_gep.routes import bell_partial
@@ -186,7 +190,7 @@ def test_criterion_5_example_reproductions():
         phi = F(rng.randint(-3, 3), rng.randint(1, 3))
         beta = F(rng.randint(-3, 3), rng.randint(1, 3))
         t = F(rng.randint(-3, 3), rng.randint(1, 3))
-        verify.alpha_gf_check(phi, beta, t, 8)
+        alpha_gf_check(phi, beta, t, 8)
 
     # odd-part identity for the doubled geometric series
     for n in range(1, 11):
@@ -226,7 +230,7 @@ def test_criterion_6_functional_equations():
     for _ in range(10):
         a = rand_unit_series(rng, 12)
         for beta in (1, -1, 2, F(1, 2)):
-            verify.check_functional_eq(a, beta, 12)
+            check_functional_eq(a, beta, 12)
     report("criterion 6 (functional equations)", True)
 
 
@@ -249,7 +253,7 @@ def test_criterion_7_dirichlet_suite():
         for r in range(1, 4):
             g = ds.carlitz_hoggatt(r, p)
             ok = ok and g(1) == F(factorial(p * r), factorial(p) ** r)
-            verify.dir_palindromy_check(r, p)
+            dir_palindromy_check(r, p)
     for n in range(1, 6):
         ok = ok and ds.carlitz_hoggatt(n, 1) == gep.eulerian_poly(n)
     report("criterion 7 (Dirichlet suite)", ok)
@@ -264,7 +268,7 @@ def test_criterion_8_polynomial_stand_ins():
         phi = F(rng.randint(-3, 3), rng.randint(1, 3))
         beta = F(rng.randint(-3, 3), rng.randint(1, 3))
         t = F(rng.randint(-3, 3), rng.randint(1, 3))
-        verify.alpha_gf_check(phi, beta, t, 8)
+        alpha_gf_check(phi, beta, t, 8)
     for n in range(1, 11):
         col = Poly(wmatrix.w_matrix(n, 2).column(0))  # W applied to alpha~ = 1
         spread = Poly([col.coeff(k // 2) if k % 2 == 0 else 0 for k in range(2 * n + 1)])

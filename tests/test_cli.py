@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from riordan_gep.cli import main
+from riordan_gep.cli import SUITE_NAMES, main
 from riordan_gep.output import OutputDoc
 
 
@@ -400,6 +400,11 @@ print(json.dumps([code, out.getvalue(), sorted(sys.modules)]))
 """
 
 DOMAIN = ("dirichlet", "gep", "lagrange", "riordan", "stirling", "wmatrix", "verify", "routes")
+SUITE_MODULES = tuple(f"suites.{suite}" for suite in SUITE_NAMES)
+
+
+def _other_suites(suite):
+    return tuple(m for m in SUITE_MODULES if m != f"suites.{suite}")
 
 
 def _run_fresh(*args):
@@ -440,7 +445,11 @@ def test_plain_commands_do_not_import_verify(capsys):
         (["w", "--n", "3", "--m", "2"], ("expr", "verify", "routes", "dirichlet", "lagrange")),
         (["lagrange", "--a", "1+x", "--beta", "1/2", "--order", "5"],
          ("verify", "routes", "dirichlet", "riordan", "wmatrix")),
-        (["w", "--n", "3", "--m", "2", "--check"], ("expr",)),
+        (["w", "--n", "3", "--m", "2", "--check"], ("expr", "routes") + _other_suites("w")),
+        # each verify job compiles only the suite it runs
+        *((["verify", suite, "--max-n", "3"], _other_suites(suite)) for suite in SUITE_NAMES),
+        (["verify", "series", "--max-n", "3"],
+         ("routes", "dirichlet", "lagrange", "wmatrix", "riordan", "stirling", "gep", "expr")),
     ]
     for argv, absent in cases:
         code, out, loaded = _loaded_by(argv)
@@ -533,12 +542,12 @@ def test_verify_reports_why_a_check_crashed(capsys, monkeypatch):
 
 
 def test_w_check_reports_failures_with_nonzero_exit(capsys, monkeypatch):
-    import riordan_gep.verify as verify_mod
+    import riordan_gep.suites.w as w_suite
 
     def crashes(W, m):
         raise ZeroDivisionError("no inverse, sorry")
 
-    monkeypatch.setattr(verify_mod, "w_routes_agree", crashes)
+    monkeypatch.setattr(w_suite, "w_routes_agree", crashes)
     code, out, _ = run_cli(capsys, "w", "--n", "3", "--m", "2", "--check")
     assert code == 1
     assert out.splitlines() == [
@@ -552,7 +561,7 @@ def test_w_check_reports_failures_with_nonzero_exit(capsys, monkeypatch):
     assert json.loads(out)["entries"][1] == [
         "w", "alternative construction agrees", "FAIL", "ZeroDivisionError: no inverse, sorry"
     ]
-    monkeypatch.setattr(verify_mod, "w_routes_agree", lambda W, m: False)
+    monkeypatch.setattr(w_suite, "w_routes_agree", lambda W, m: False)
     code, out, _ = run_cli(capsys, "w", "--n", "3", "--m", "2", "--check", "--format", "csv")
     assert code == 1
     assert out.splitlines()[1] == "w,alternative construction agrees,FAIL,made no comparison"

@@ -17,7 +17,7 @@ from riordan_gep.expr import (
 )
 from riordan_gep.series import Series
 from riordan_gep.routes import unparse
-from riordan_gep.verify import _expression_corpus
+from riordan_gep.suites.cli import _expression_corpus
 
 
 class TestParsing:

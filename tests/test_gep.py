@@ -21,7 +21,8 @@ from riordan_gep.matrix import RMatrix
 from riordan_gep.riordan import RiordanArray, RiordanKind, row_of_pair
 from riordan_gep.series import Poly, Series, binomial_poly, exp, log, power, reciprocal
 from riordan_gep.routes import row_numerator
-from riordan_gep.verify import _restrict, alpha_gf_check, check_theorem1, check_theorem2, reduce_degenerate
+from riordan_gep.suites.gep import alpha_gf_check, check_theorem1, check_theorem2, reduce_degenerate
+from riordan_gep.verify import _restrict
 
 
 def moebius_ratio(order):

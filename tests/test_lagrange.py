@@ -18,14 +18,14 @@ from riordan_gep.routes import (
     rational_binomial,
     vtilde_transform,
 )
-from riordan_gep.verify import (
-    _apply,
+from riordan_gep.suites.abeta import (
     abeta_identities,
     abeta_routes_agree,
     check_functional_eq,
     duality_check,
     log_abeta_top_power,
 )
+from riordan_gep.verify import _apply
 
 ONE_PLUS_X = lambda order: Series([1, 1], order=order)
 

@@ -2,13 +2,14 @@
 
 Runtime modules hold only what the CLI or another runtime module runs.
 Routes that only cross-check a construction live on the verify side
-(verify.py and routes.py), and references that only the tests use live in
-tests/.  The verify side in turn holds only what `verify` or `w --check`
-runs.  These tests read the source of the package's modules except
-__main__, resolve each name through the module's imports, and follow
-references from the roots: all of cli, the statements every module runs
-at import (verify.REGISTRY among them), and an allowlist.  Each public
-module-level function or class must be reached.
+(verify.py, routes.py and the suite modules under suites/), and
+references that only the tests use live in tests/.  The verify side in
+turn holds only what `verify` or `w --check` runs.  These tests read the
+source of the package's modules except __main__, resolve each name
+through the module's imports, and follow references from the roots: all
+of cli, the statements every module runs at import, the check that each
+verify.REGISTRY row names in its suite module, and an allowlist.  Each
+public module-level function or class must be reached.
 """
 
 import ast
@@ -17,7 +18,6 @@ import os
 import riordan_gep
 
 PACKAGE = os.path.dirname(riordan_gep.__file__)
-VERIFY_SIDE = ("verify", "routes")
 
 # (module, name) -> why it stays although no runtime code calls it
 ALLOWED = {
@@ -34,21 +34,29 @@ ALLOWED = {
 # verify-side (module, name) -> why it stays although neither `verify` nor `w --check` runs it
 ALLOWED_VERIFY = {
     # identity functions documented in README, which only the tests call
-    ("verify", "reduce_degenerate"): "readme",
-    ("verify", "alpha_gf_check"): "readme",
-    ("verify", "w_restriction"): "readme",
+    ("suites.gep", "reduce_degenerate"): "readme",
+    ("suites.gep", "alpha_gf_check"): "readme",
+    ("suites.w", "w_restriction"): "readme",
 }
 REASONS = ("traced", "readme", "export")  # export: re-exported by __init__
 
 
+def _is_verify_side(mod):
+    return mod in ("verify", "routes") or mod.startswith("suites.")
+
+
 def _modules(verify_side=False):
-    """The parsed modules of the package but __main__; the verify side only when asked."""
+    """The parsed modules of the package but __main__, named by their dotted
+    path in it (suites/w.py is suites.w); the verify side only when asked."""
     out = {}
-    for fname in sorted(os.listdir(PACKAGE)):
-        name, ext = os.path.splitext(fname)
-        if ext == ".py" and name != "__main__" and (verify_side or name not in VERIFY_SIDE):
-            with open(os.path.join(PACKAGE, fname), encoding="utf-8") as fh:
-                out[name] = ast.parse(fh.read(), fname)
+    for root, _, files in os.walk(PACKAGE):
+        for fname in sorted(files):
+            path = os.path.join(root, fname)
+            name, ext = os.path.splitext(os.path.relpath(path, PACKAGE))
+            name = name.replace(os.sep, ".")
+            if ext == ".py" and name != "__main__" and (verify_side or not _is_verify_side(name)):
+                with open(path, encoding="utf-8") as fh:
+                    out[name] = ast.parse(fh.read(), fname)
     return out
 
 
@@ -56,17 +64,20 @@ def _resolver(mod, tree, own):
     """A function from an AST node to the (module, name) pairs its code reads.
 
     `from .m import f as g` makes g mean (m, f); `from . import m as k`
-    makes k.f mean (m, f); a bare name defined at the top of mod means
-    (mod, name).  Imports anywhere in the module count, lazy ones included.
+    makes k.f mean (m, f); `..` climbs out of suites/; a bare name defined
+    at the top of mod means (mod, name).  Imports anywhere in the module
+    count, lazy ones included.
     """
     names, aliases = {}, {}
+    package = mod.split(".")[:-1]
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            base = package[: len(package) - node.level + 1]
             for a in node.names:
                 if node.module:
-                    names[a.asname or a.name] = (node.module, a.name)
+                    names[a.asname or a.name] = (".".join(base + [node.module]), a.name)
                 else:
-                    aliases[a.asname or a.name] = a.name
+                    aliases[a.asname or a.name] = ".".join(base + [a.name])
 
     def refs(node):
         out = set()
@@ -84,6 +95,20 @@ def _resolver(mod, tree, own):
     return refs
 
 
+def _registry_checks(tree):
+    """(suites.<suite>, check) for every ("suite", "label", "check") row of verify.REGISTRY."""
+    (registry,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["REGISTRY"]
+    ]
+    return {
+        (f"suites.{row.elts[0].value}", row.elts[2].value)
+        for row in ast.walk(registry)
+        if isinstance(row, ast.Tuple) and len(row.elts) == 3
+        and all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in row.elts)
+    }
+
+
 def _reached(modules, allowed):
     """The top-level definitions (module, name) reached from the roots, and all of them."""
     defs, edges, roots = {}, {}, set(allowed)
@@ -96,6 +121,8 @@ def _reached(modules, allowed):
         for node in tree.body:
             if mod == "cli" or not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)):
                 roots |= refs(node)
+    if "verify" in modules:
+        roots |= _registry_checks(modules["verify"])
     reached, todo = set(), [r for r in roots if r in defs]
     while todo:
         key = todo.pop()
@@ -120,7 +147,7 @@ def test_every_public_verify_definition_is_run_by_a_check():
     unused = sorted(
         f"{mod}.{name}"
         for mod, name in defs
-        if mod in VERIFY_SIDE and not name.startswith("_") and (mod, name) not in reached
+        if _is_verify_side(mod) and not name.startswith("_") and (mod, name) not in reached
     )
     assert unused == [], "neither REGISTRY, w_check_rows nor cli runs these; delete them or move them to tests: " + ", ".join(unused)
 

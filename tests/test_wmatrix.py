@@ -9,7 +9,8 @@ from riordan_gep.gep import GepContext, matrix_u, matrix_u_inv
 from riordan_gep.matrix import RMatrix
 from golden_data import geometric
 from riordan_gep.series import Poly, Series, binomial_poly, power
-from riordan_gep.verify import _apply, w_identities, w_restriction
+from riordan_gep.suites.w import w_identities, w_restriction
+from riordan_gep.verify import _apply
 from riordan_gep.wmatrix import w_alt_form, w_matrix
 
 
