@@ -20,7 +20,6 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from functools import partial
 
 from .errors import EvalError, ParseError, RiordanGepError
 from .output import OutputDoc, matrix_doc, poly_doc, series_doc
@@ -159,11 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args):
-    """Compute what args ask for; return a function of no arguments that
-    builds the OutputDoc.  Each branch imports the modules it runs."""
+    """Compute what args ask for and return its OutputDoc.  Each branch
+    imports the modules it runs."""
     if args.command == "series":
         order = _check_limit(args.order, "order")
-        return partial(series_doc, _eval(args.expr, order))
+        return series_doc(_eval(args.expr, order))
 
     if args.command == "riordan":
         from . import riordan
@@ -177,7 +176,7 @@ def _dispatch(args):
             "exp": riordan.RiordanKind.EXPONENTIAL,
         }[args.kind]
         arr = riordan.RiordanArray(kind, _eval(args.f, order), _eval(args.g, order))
-        return partial(matrix_doc, riordan.window(arr, rows, cols))
+        return matrix_doc(riordan.window(arr, rows, cols))
 
     if args.command == "gep":
         from . import gep
@@ -192,15 +191,15 @@ def _dispatch(args):
                 "VU": lambda k: gep.stirling_products(k)[0],
                 "UinvVinv": lambda k: gep.stirling_products(k)[1],
             }
-            return partial(matrix_doc, table[args.which](n), n=n)
+            return matrix_doc(table[args.which](n), n=n)
         ctx = gep.GepContext(_eval(args.a, n), n)
-        return partial(poly_doc, getattr(ctx, args.gep_command), n=n)  # alpha, u or v
+        return poly_doc(getattr(ctx, args.gep_command), n=n)  # alpha, u or v
 
     if args.command == "euler":
         from .gep import eulerian_poly
 
         n = _check_limit(args.n, "n")
-        return partial(poly_doc, eulerian_poly(n), n=n)
+        return poly_doc(eulerian_poly(n), n=n)
 
     if args.command == "w":
         from .wmatrix import w_matrix
@@ -212,21 +211,21 @@ def _dispatch(args):
         if args.check:
             from .suites.w import w_check_rows
 
-            return partial(OutputDoc, "VerifyReport", w_check_rows(w, args.m))
-        return partial(matrix_doc, w, n=n)
+            return OutputDoc("VerifyReport", w_check_rows(w, args.m))
+        return matrix_doc(w, n=n)
 
     if args.command == "abeta":
         from .lagrange import abeta_matrix
 
         n = _check_limit(args.n, "n")
-        return partial(matrix_doc, abeta_matrix(n, args.beta), n=n)
+        return matrix_doc(abeta_matrix(n, args.beta), n=n)
 
     if args.command == "lagrange":
         from . import lagrange
 
         order = _check_limit(args.order, "order")
         a = _eval(args.a, order)
-        return partial(series_doc, lagrange.lagrange_coeffs(a, args.beta, order, args.phi))
+        return series_doc(lagrange.lagrange_coeffs(a, args.beta, order, args.phi))
 
     if args.command == "dirichlet":
         from . import dirichlet as ds
@@ -234,7 +233,7 @@ def _dispatch(args):
         if args.dirichlet_command == "g":
             # it expands the sum it truncates to order 2(pr+1)
             _check_limit(2 * (args.p * args.r + 1), "series order")
-            return partial(poly_doc, ds.carlitz_hoggatt(args.r, args.p))
+            return poly_doc(ds.carlitz_hoggatt(args.r, args.p))
         rows = _check_limit(args.rows, "rows")
         cols = _check_limit(args.cols, "cols")
         z = ds.DirichletSeries.zeta(rows)
@@ -244,12 +243,12 @@ def _dispatch(args):
             window = ds.array_window(ds.dirichlet_inv(z), "plain", rows, cols)
         else:
             window = ds.array_window(z, "log", rows, cols)
-        return partial(matrix_doc, window)
+        return matrix_doc(window)
 
     if args.command == "verify":
         from .verify import run_suites
 
-        return partial(OutputDoc, "VerifyReport", run_suites(args.suite, seed=args.seed, max_n=args.max_n))
+        return OutputDoc("VerifyReport", run_suites(args.suite, seed=args.seed, max_n=args.max_n))
 
     raise AssertionError(f"unhandled command {args.command!r}")
 
@@ -259,7 +258,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _max_order()  # a bad cap fails every command, also one that sets no limit
     try:
-        to_doc = _dispatch(args)
+        doc = _dispatch(args)
     except (RiordanGepError, ParseError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -269,8 +268,6 @@ def main(argv=None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        doc = to_doc()
-        del to_doc  # the computed value can be as large as the output: free it first
         text = doc.render(args.format)
     finally:
         if limit:

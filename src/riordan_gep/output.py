@@ -1,35 +1,43 @@
-"""Output documents for the CLI: exact rationals as strings, three renderers.
+"""Output documents for the CLI: the computed values and three renderers.
 
-The JSON form is {"kind": ..., "n"/"rows"/"cols" when relevant,
-"entries": [[str]]} and round-trips losslessly.  A VerifyReport row is
-[suite, check, "ok" | "FAIL", detail], the detail being why a check failed
-(the exception it raised, or "made no comparison"; empty when it passed);
-verify._row makes every such row.
+A document keeps the values it shows and calls str on each only while
+rendering: JSON one block of rows at a time and CSV one row at a time, so
+no table is held as strs beside its text.  The JSON form is
+{"kind": ..., "n"/"rows"/"cols" when relevant, "entries": [[str]]} and
+round-trips losslessly; documents compare by their entries as strs.  A
+VerifyReport row is [suite, check, "ok" | "FAIL", detail], the detail being
+why a check failed (the exception it raised, or "made no comparison"; empty
+when it passed); verify._row makes every such row.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from fractions import Fraction
 
 from .matrix import RMatrix
 from .series import Poly, Series
+
+_BLOCK = 256  # rows per json.dumps call: its chunk list stays small, its calls few
 
 
 class OutputDoc:
     __slots__ = ("kind", "entries", "n", "rows", "cols")
 
-    def __init__(self, kind: str, entries: list, n: int | None = None, rows: int | None = None,
+    def __init__(self, kind: str, entries, n: int | None = None, rows: int | None = None,
                  cols: int | None = None):
         self.kind = kind  # Polynomial | SeriesCoeffs | Matrix | VerifyReport
-        self.entries = entries
+        self.entries = entries  # rows of Fractions or of strs
         self.n = n
         self.rows = rows
         self.cols = cols
 
+    def _cells(self, start=0, stop=None) -> list:
+        """Rows start..stop-1 of the entries, each cell as its str."""
+        return [[str(c) for c in row] for row in self.entries[start:stop]]
+
     def _fields(self):
-        return (self.kind, self.entries, self.n, self.rows, self.cols)
+        return (self.kind, self._cells(), self.n, self.rows, self.cols)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -40,13 +48,14 @@ class OutputDoc:
         return "OutputDoc(kind={!r}, entries={!r}, n={!r}, rows={!r}, cols={!r})".format(*self._fields())
 
     def to_json(self) -> str:
-        payload = {"kind": self.kind}
+        head = {"kind": self.kind}
         for name in ("n", "rows", "cols"):
             value = getattr(self, name)
             if value is not None:
-                payload[name] = value
-        payload["entries"] = self.entries
-        return json.dumps(payload)
+                head[name] = value
+        head["entries"] = []  # its "[]}" is cut to "[" for the blocks
+        blocks = (json.dumps(self._cells(i, i + _BLOCK))[1:-1] for i in range(0, len(self.entries), _BLOCK))
+        return json.dumps(head)[:-2] + ", ".join(blocks) + "]}"
 
     @classmethod
     def from_json(cls, text: str) -> "OutputDoc":
@@ -66,7 +75,7 @@ class OutputDoc:
             import csv  # only here, to keep it out of every command's start-up
 
             buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerows(self.entries)
+            csv.writer(buf, lineterminator="\n").writerows([str(c) for c in row] for row in self.entries)
             return buf.getvalue()
         if fmt == "pretty":
             return self._pretty()
@@ -74,9 +83,9 @@ class OutputDoc:
 
     def _pretty(self) -> str:
         if self.kind == "Polynomial":
-            return format_poly_strings(self.entries[0]) + "\n"
+            return format_poly(Poly(self.entries[0])) + "\n"
         if self.kind == "SeriesCoeffs":
-            return ", ".join(self.entries[0]) + "\n"
+            return ", ".join(map(str, self.entries[0])) + "\n"
         if self.kind == "VerifyReport":
             lines = [
                 f"[{status}] {suite}: {name}" + (f" -- {detail}" if detail else "")
@@ -85,20 +94,16 @@ class OutputDoc:
             bad = sum(1 for row in self.entries if row[2] != "ok")
             lines.append(f"{len(self.entries)} checks, {bad} failed")
             return "\n".join(lines) + "\n"
-        widths = [0] * max(len(r) for r in self.entries)
-        for row in self.entries:
+        cells = self._cells()
+        widths = [0] * max(len(r) for r in cells)
+        for row in cells:
             for j, cell in enumerate(row):
                 widths[j] = max(widths[j], len(cell))
         lines = [
             "  ".join(cell.rjust(widths[j]) for j, cell in enumerate(row))
-            for row in self.entries
+            for row in cells
         ]
         return "\n".join(lines) + "\n"
-
-
-def format_poly_strings(coeff_strings) -> str:
-    coeffs = [Fraction(s) for s in coeff_strings]
-    return format_poly(Poly(coeffs))
 
 
 def format_poly(p: Poly) -> str:
@@ -129,22 +134,12 @@ def format_poly(p: Poly) -> str:
 
 
 def poly_doc(p: Poly, n: int | None = None) -> OutputDoc:
-    return OutputDoc(
-        kind="Polynomial",
-        entries=[[str(p.coeff(k)) for k in range(max(p.degree(), 0) + 1)]],
-        n=n,
-    )
+    return OutputDoc(kind="Polynomial", entries=[tuple(p.coeff(k) for k in range(max(p.degree(), 0) + 1))], n=n)
 
 
 def series_doc(s: Series) -> OutputDoc:
-    return OutputDoc(kind="SeriesCoeffs", entries=[[str(c) for c in s.coeffs]])
+    return OutputDoc(kind="SeriesCoeffs", entries=[s.coeffs])
 
 
 def matrix_doc(m: RMatrix, n: int | None = None) -> OutputDoc:
-    return OutputDoc(
-        kind="Matrix",
-        entries=[[str(e) for e in row] for row in m.entries],
-        n=n,
-        rows=m.rows,
-        cols=m.cols,
-    )
+    return OutputDoc(kind="Matrix", entries=m.entries, n=n, rows=m.rows, cols=m.cols)

@@ -222,7 +222,10 @@ def _recurrence(a: Series, terms, y0, u, v, d, plus_a=False) -> Series:
 
     (d + v (a - a_0)) y' = (u - v) a' y (+ a') at x^(n-1), Miller's recurrence
     (Knuth, TAOCP 4.7): O(n t) operations over the t sparse terms of a.
+    With no terms (a constant a) every y_n past y_0 is 0.
     """
+    if not terms:
+        return Series.constant(y0, a.order)
     cs, y = a.coeffs, [y0]
     for n in range(1, len(cs)):
         s = sum([(k * u - n * v) * c * y[n - k] for k, c in terms if k <= n], _ZERO) / (n * d)

@@ -138,6 +138,25 @@ class TestPower:
             power(S(2, 1, order=3), F(1, 2))
 
 
+@pytest.mark.parametrize("order", (0, 1, 256))
+class TestConstantOperand:
+    """A series with no term past the constant has constant reciprocal, log, exp and powers."""
+
+    @pytest.mark.parametrize("c", (F(1), F(-3), F(2, 5)))
+    def test_reciprocal(self, order, c):
+        assert reciprocal(Series.constant(c, order)) == Series.constant(1 / c, order)
+
+    def test_log_and_exp(self, order):
+        assert log(Series.one(order)) == Series.zero(order)
+        assert exp(Series.zero(order)) == Series.one(order)
+
+    @pytest.mark.parametrize("c, phi, value", [
+        (F(-3), -1, F(-1, 3)), (F(2, 5), -3, F(125, 8)), (F(1), F(2, 3), F(1)), (F(1), F(-5, 2), F(1)),
+    ])
+    def test_negative_or_fractional_power(self, order, c, phi, value):
+        assert power(Series.constant(c, order), phi) == Series.constant(value, order)
+
+
 class TestReversion:
     def test_moebius_pair(self):
         g = geometric(4) * Series.x(4)
