@@ -272,7 +272,15 @@ def main(argv=None) -> int:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:  # a full device or a reader that has gone
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # what stays buffered goes to devnull, so interpreter shutdown prints nothing
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     if doc.kind == "VerifyReport" and any(row[2] != "ok" for row in doc.entries):
         return 1
     return 0

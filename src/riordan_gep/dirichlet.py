@@ -69,9 +69,6 @@ class DirichletSeries:
     def __eq__(self, other):
         return isinstance(other, DirichletSeries) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:8])
         return f"DirichletSeries([{head}{', ...' if self.n_max > 8 else ''}])"

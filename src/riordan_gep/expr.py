@@ -36,8 +36,7 @@ from .series import Series, compose, exp, log, power, reciprocal, reversion
 class _Node:
     """An immutable AST node: the positional fields in `_fields`, then `span`.
 
-    Equality compares the class and the fields, and hash the fields; neither
-    reads the span.
+    Equality compares the class and the fields, not the span.
     """
 
     __slots__ = ("span",)
@@ -65,9 +64,6 @@ class _Node:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
 
     def __repr__(self):
         parts = [f"{name}={value!r}" for name, value in zip(self._fields, self._values())]

@@ -14,7 +14,6 @@ from fractions import Fraction
 from .series import as_rational, over_lcm
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _dot(num, d, other_num, e):
@@ -44,21 +43,6 @@ class RMatrix:
         return m
 
     @classmethod
-    def identity(cls, n):
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, values):
-        vals = [as_rational(v) for v in values]
-        n = len(vals)
-        return cls([[vals[i] if i == j else _ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def anti_identity(cls, n):
-        """Permutation matrix reversing coefficient order."""
-        return cls([[_ONE if i + j == n - 1 else _ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
     def from_cols(cls, cols):
         cols = [list(c) for c in cols]
         height = len(cols[0])
@@ -74,9 +58,6 @@ class RMatrix:
             and self.entries == other.entries
         )
 
-    def __hash__(self):
-        return hash(self.entries)
-
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in row) for row in self.entries)
         return f"RMatrix[{self.rows}x{self.cols}: {body}]"
@@ -84,9 +65,6 @@ class RMatrix:
     def __getitem__(self, idx):
         i, j = idx
         return self.entries[i][j]
-
-    def column(self, j):
-        return tuple(self.entries[i][j] for i in range(self.rows))
 
     def transpose(self):
         return RMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
@@ -109,19 +87,6 @@ class RMatrix:
 
     __rmul__ = __mul__
 
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return RMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
     def apply(self, vec):
         """Matrix times column vector, returned as a tuple."""
         vec = [as_rational(v) for v in vec]
@@ -129,12 +94,3 @@ class RMatrix:
             raise ValueError("vector length mismatch")
         vnum, e = over_lcm(vec)
         return tuple(_dot(num, d, vnum, e) for num, d in map(over_lcm, self.entries))
-
-    def col_sums(self):
-        return tuple(sum(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols))
-
-    def block(self, r0, r1, c0, c1):
-        return RMatrix([row[c0:c1] for row in self.entries[r0:r1]])
-
-    def is_zero(self):
-        return all(e == 0 for row in self.entries for e in row)

@@ -57,17 +57,6 @@ class OutputDoc:
         blocks = (json.dumps(self._cells(i, i + _BLOCK))[1:-1] for i in range(0, len(self.entries), _BLOCK))
         return json.dumps(head)[:-2] + ", ".join(blocks) + "]}"
 
-    @classmethod
-    def from_json(cls, text: str) -> "OutputDoc":
-        data = json.loads(text)
-        return cls(
-            kind=data["kind"],
-            entries=[list(row) for row in data["entries"]],
-            n=data.get("n"),
-            rows=data.get("rows"),
-            cols=data.get("cols"),
-        )
-
     def render(self, fmt: str) -> str:
         if fmt == "json":
             return self.to_json() + "\n"

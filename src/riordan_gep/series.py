@@ -13,6 +13,7 @@ from math import comb, lcm
 
 from .errors import (
     ConstantTermNotOne,
+    DegreeTooHigh,
     InsufficientOrder,
     NonzeroConstantTerm,
     NotInvertibleForComposition,
@@ -149,9 +150,6 @@ class Series:
 
     def __eq__(self, other):
         return isinstance(other, Series) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:8])
@@ -386,9 +384,6 @@ class Poly:
     def __eq__(self, other):
         return isinstance(other, Poly) and self._stripped() == other._stripped()
 
-    def __hash__(self):
-        return hash(self._stripped())
-
     def __repr__(self):
         return f"Poly({list(self._stripped())})"
 
@@ -417,28 +412,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __call__(self, point) -> Fraction:
-        point = as_rational(point)
-        acc = _ZERO
-        for c in reversed(self._stripped()):
-            acc = acc * point + c
-        return acc
-
-    def shifted(self, s) -> "Poly":
-        """The polynomial p(x+s), expanded by binomials."""
-        s = as_rational(s)
-        d = self.degree()
-        out = [_ZERO] * (d + 1)
-        for j in range(d + 1):
-            c = self.coeffs[j]
-            if c == 0:
-                continue
-            sp = _ONE
-            for i in range(j, -1, -1):
-                out[i] += c * comb(j, j - i) * sp
-                sp *= s
-        return Poly(out)
-
     def shift_up(self, k=1) -> "Poly":
         """Multiply by x^k."""
         return Poly((0,) * k + self.coeffs)
@@ -449,15 +422,7 @@ class Poly:
             raise ValueError("polynomial is not divisible by x^%d" % k)
         return Poly(self.coeffs[k:])
 
-    def reversed_to(self, n: int) -> "Poly":
-        """Coefficient reversal within degree window 0..n: x^n * p(1/x)."""
-        if self.degree() > n:
-            raise ValueError("degree exceeds reversal window")
-        return Poly([self.coeff(n - i) for i in range(n + 1)])
-
     def to_vector(self, length: int):
-        from .errors import DegreeTooHigh
-
         if self.degree() >= length:
             raise DegreeTooHigh(
                 f"degree {self.degree()} polynomial does not fit in {length} slots"

@@ -10,7 +10,17 @@ from math import factorial
 from .. import gep, lagrange, routes
 from ..matrix import RMatrix
 from ..series import Poly, Series, as_rational, binomial_poly, compose, exp, power, reciprocal
-from ..verify import _cap, _frac, _maps_alpha, _restrict, _same, _series, _series_a1_nonzero
+from ..verify import (
+    _cap,
+    _diag,
+    _frac,
+    _maps_alpha,
+    _restrict,
+    _reversed_to,
+    _same,
+    _series,
+    _series_a1_nonzero,
+)
 
 _BETAS = (
     Fraction(1),
@@ -28,12 +38,11 @@ def abeta_routes_agree(n: int, beta):
     """abeta_matrix, V_n^-1 D T^t D^-1 V_n and sum_{m<n} beta^m/m! (log A_n)^m agree."""
     beta, v = as_rational(beta), gep.matrix_v(n)
     by_dtilde = gep.matrix_v_inv(n) * RMatrix.from_cols(
-        routes.vtilde_transform(n, beta, Poly(v.column(j))).to_vector(n) for j in range(n)
+        routes.vtilde_transform(n, beta, Poly(col)).to_vector(n) for col in zip(*v.entries)
     )
     powers = _log_abeta_powers(n)
-    by_log = powers[0]
-    for m in range(1, n):
-        by_log = by_log + powers[m] * (beta**m / factorial(m))
+    weights = [beta**m / factorial(m) for m in range(n)]
+    by_log = RMatrix([sum(w * P[i, j] for w, P in zip(weights, powers)) for j in range(n)] for i in range(n))
     A = lagrange.abeta_matrix(n, beta)
     _same(A, by_dtilde, n=n, beta=beta)
     _same(A, by_log, n=n, beta=beta)
@@ -43,7 +52,7 @@ def abeta_routes_agree(n: int, beta):
 def _log_abeta_powers(n: int) -> tuple:
     """(log A_n)^m for m = 0, ..., n-1, built once per n for every beta."""
     gen = lagrange.log_abeta(n)
-    powers = [RMatrix.identity(n)]
+    powers = [_diag([1] * n)]
     for _ in range(1, n):
         powers.append(powers[-1] * gen)
     return tuple(powers)
@@ -71,11 +80,11 @@ def abeta_identities(n: int, beta):
     """
     n_beta = n * as_rational(beta)
     A = _abeta_scaled(n, n_beta)
-    rev = RMatrix.anti_identity(n)
+    rev = _diag([1] * n, anti=True)
     flipped = rev * A * rev
     _same(flipped, _abeta_scaled(n, -n_beta), n=n, beta=beta)
-    _same(flipped * A, RMatrix.identity(n), n=n, beta=beta)
-    _same(A.col_sums(), (1,) * n, n=n, beta=beta)
+    _same(flipped * A, _diag([1] * n), n=n, beta=beta)
+    _same(tuple(map(sum, zip(*A.entries))), (1,) * n, n=n, beta=beta)
     for m in range(1, n):
         _same(_restrict(A, m), _abeta_scaled(n - m, n_beta), n=n, beta=beta, m=m)
 
@@ -93,8 +102,8 @@ def log_abeta_top_power(n: int):
         return
     top = _log_abeta_powers(n)[n - 1]
     expected_col = tuple(Fraction(n) ** (n - 2) * c for c in binomial_poly(n - 1, -1).to_vector(n))
-    for j in range(n):
-        _same(top.column(j), expected_col, n=n, j=j)
+    for j, col in enumerate(zip(*top.entries)):
+        _same(col, expected_col, n=n, j=j)
 
 
 def check_abeta_identities_suite(rng, max_n):
@@ -136,6 +145,14 @@ def check_functional_equations(rng, max_n):
             check_functional_eq(a, beta, order)
 
 
+def _shifted(p: Poly, s) -> Poly:
+    """p(x + s), by Horner."""
+    acc, x_plus_s = Poly(), Poly([s, 1])
+    for c in reversed(p.coeffs):
+        acc = acc * x_plus_s + c
+    return acc
+
+
 def check_deformed_u_identity(rng, max_n):
     top = _cap(6, max_n)
     for n in range(1, top + 1):
@@ -145,13 +162,13 @@ def check_deformed_u_identity(rng, max_n):
             deformed = lagrange.lagrange_coeffs(a, beta, 2 * n + 2)
             # u_b = x u_a(x + n beta) / (x + n beta); n beta != 0, so x and x + n beta are coprime
             lhs = gep.GepContext(deformed, n).u * Poly([n * beta, 1])
-            _same(lhs, u.shifted(n * beta).shift_up(1), n=n, beta=beta)
+            _same(lhs, _shifted(u, n * beta).shift_up(1), n=n, beta=beta)
 
 
 def check_gbs_closed_form(rng, max_n):
     for n in range(1, _cap(10, max_n) + 1):
         for beta in _BETAS:
-            last = Poly(lagrange.abeta_matrix(n, beta).column(n - 1))
+            last = Poly(row[-1] for row in lagrange.abeta_matrix(n, beta).entries)
             _same(routes.gbs_alpha_closed_form(n, beta), last.shift_up(1), n=n, beta=beta)
 
 
@@ -169,7 +186,7 @@ def duality_check(n: int, beta):
     rhs_base = reciprocal(lagrange.lagrange_coeffs(a, beta, order))
     _same(lhs, Series([c * (-1) ** i for i, c in enumerate(rhs_base.coeffs)]), n=n, beta=beta)
     left_poly = routes.gbs_alpha_closed_form(n, 1 - beta)
-    right_poly = routes.gbs_alpha_closed_form(n, beta).reversed_to(n).shift_up(1)
+    right_poly = _reversed_to(routes.gbs_alpha_closed_form(n, beta), n).shift_up(1)
     _same(left_poly, right_poly, n=n, beta=beta)
 
 

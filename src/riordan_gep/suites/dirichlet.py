@@ -10,7 +10,7 @@ from math import comb, factorial
 from .. import dirichlet as ds
 from .. import gep, routes
 from ..series import Poly
-from ..verify import _cap, _frac, _same
+from ..verify import _cap, _frac, _reversed_to, _same, _value
 
 
 def check_dirichlet_window_identities(rng, max_n):
@@ -74,7 +74,7 @@ def dir_palindromy_check(r: int, p: int):
     deg = p * r - p + 1
     for m in range(1, deg + 1):
         _same(g.coeff(m), g.coeff(p * r - p - m + 2), r=r, p=p, m=m)
-    _same(g.reversed_to(p * r).shift_up(1), g.shift_up(p - 1), r=r, p=p)
+    _same(_reversed_to(g, p * r).shift_up(1), g.shift_up(p - 1), r=r, p=p)
 
 
 def check_carlitz_values(rng, max_n):
@@ -82,5 +82,5 @@ def check_carlitz_values(rng, max_n):
         for r in range(1, 4):
             g = ds.carlitz_hoggatt(r, p)
             # the coefficient sum is (p r)! / (p!)^r
-            _same(g(1), Fraction(factorial(p * r), factorial(p) ** r), r=r, p=p)
+            _same(_value(g, 1), Fraction(factorial(p * r), factorial(p) ** r), r=r, p=p)
             dir_palindromy_check(r, p)

@@ -9,9 +9,8 @@ from math import comb, factorial
 
 from .. import gep, riordan
 from ..errors import OutOfRange
-from ..matrix import RMatrix
 from ..series import Poly, Series, as_rational, binomial_poly, exp, log, reciprocal
-from ..verify import _cap, _frac, _restrict, _same, _series
+from ..verify import _cap, _diag, _frac, _restrict, _reversed_to, _same, _series, _value
 
 
 def check_pipeline(rng, max_n):
@@ -33,14 +32,14 @@ def check_pipeline(rng, max_n):
 
 def check_u_inverse(rng, max_n):
     for n in range(1, _cap(16, max_n) + 1):
-        _same(gep.matrix_u(n) * gep.matrix_u_inv(n), RMatrix.identity(n), n=n)
+        _same(gep.matrix_u(n) * gep.matrix_u_inv(n), _diag([1] * n), n=n)
 
 
 def check_theorem1(n: int):
     """U_n . diag((-1)^p) == (-1)^(n+1) . Itilde_n . U_n, exactly."""
     u = gep.matrix_u(n)
-    signs = RMatrix.diagonal([(-1) ** p for p in range(n)])
-    _same(u * signs, (RMatrix.anti_identity(n) * u) * ((-1) ** (n + 1)), n=n)
+    signs = _diag([(-1) ** p for p in range(n)])
+    _same(u * signs, (_diag([1] * n, anti=True) * u) * ((-1) ** (n + 1)), n=n)
 
 
 def check_theorem1_suite(rng, max_n):
@@ -50,7 +49,7 @@ def check_theorem1_suite(rng, max_n):
 
 def check_theorem2(ctx: gep.GepContext):
     """alpha_n(1) == a_1^n."""
-    _same(ctx.alpha(1), ctx.a.coeff(1) ** ctx.n, n=ctx.n)
+    _same(_value(ctx.alpha, 1), ctx.a.coeff(1) ** ctx.n, n=ctx.n)
 
 
 def check_theorem2_suite(rng, max_n):
@@ -66,7 +65,7 @@ def check_reversal_identity(rng, max_n):
         a = _series(rng, 2 * n + 2, a0=1)
         alpha = gep.GepContext(a, n).alpha
         alpha_inv = gep.GepContext(reciprocal(a), n).alpha
-        _same(alpha_inv, (alpha.reversed_to(n) * ((-1) ** n)).shift_up(1), n=n)
+        _same(alpha_inv, (_reversed_to(alpha, n) * ((-1) ** n)).shift_up(1), n=n)
 
 
 def check_eulerian_specialization(rng, max_n):
@@ -89,7 +88,7 @@ def check_stirling_products_suite(rng, max_n):
         vu, uv = gep.stirling_products(n)
         _same(vu, gep.matrix_v(n) * gep.matrix_u(n), n=n)
         _same(uv, gep.matrix_u_inv(n) * gep.matrix_v_inv(n), n=n)
-        _same(vu * uv, RMatrix.identity(n), n=n)
+        _same(vu * uv, _diag([1] * n), n=n)
 
 
 def reduce_degenerate(n: int, m: int):
@@ -122,7 +121,7 @@ def alpha_gf_check(phi, beta, t, order: int):
     a = reciprocal(Series([1, phi, beta], order=order))
     lhs = [Fraction(1)]
     for n in range(1, order + 1):
-        lhs.append(gep.GepContext(a.truncate(n), n).alpha(t))
+        lhs.append(_value(gep.GepContext(a.truncate(n), n).alpha, t))
     numer = Series([1, phi * (1 - t), beta * (1 - t) ** 2], order=order)
     denom = Series([1, phi, beta * (1 - t)], order=order)
     _same(lhs, list((numer * reciprocal(denom)).coeffs), phi=phi, beta=beta, t=t)

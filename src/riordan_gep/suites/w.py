@@ -9,12 +9,12 @@ from .. import gep, wmatrix
 from ..errors import OutOfRange
 from ..matrix import RMatrix
 from ..series import power
-from ..verify import _cap, _maps_alpha, _restrict, _row, _same, _series
+from ..verify import _cap, _diag, _maps_alpha, _restrict, _row, _same, _series
 
 
 def w_column_sums_ok(W: RMatrix, m: int):
     """Every column of W = W_(n,m) sums to m^n."""
-    _same(W.col_sums(), (Fraction(m) ** W.rows,) * W.cols, n=W.rows, m=m)
+    _same(tuple(map(sum, zip(*W.entries))), (Fraction(m) ** W.rows,) * W.cols, n=W.rows, m=m)
 
 
 def check_w_column_sums(rng, max_n):
@@ -26,7 +26,7 @@ def check_w_column_sums(rng, max_n):
 def w_routes_agree(W: RMatrix, m: int):
     """W = W_(n,m) by decimation, U_n diag(m..m^n) U_n^-1 and V_n^-1 T^t V_n agree."""
     n = W.rows
-    scale = RMatrix.diagonal([Fraction(m) ** (p + 1) for p in range(n)])
+    scale = _diag([Fraction(m) ** (p + 1) for p in range(n)])
     _same(W, gep.matrix_u(n) * scale * gep.matrix_u_inv(n), n=n, m=m)
     _same(W, wmatrix.w_alt_form(n, m), n=n, m=m)
 
@@ -55,7 +55,7 @@ def w_identities(n: int, m: int, p: int):
     """
     wm = wmatrix.w_matrix(n, m)
     _same(wm * wmatrix.w_matrix(n, p), wmatrix.w_matrix(n, m * p), n=n, m=m, p=p)
-    rev = RMatrix.anti_identity(n)
+    rev = _diag([1] * n, anti=True)
     _same(wm * rev, rev * wm, n=n, m=m)
     at = gep.eulerian_poly(n).shift_down(1).to_vector(n)
     _same(wm.apply(at), tuple(Fraction(m) ** n * c for c in at), n=n, m=m)

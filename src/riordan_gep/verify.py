@@ -13,8 +13,8 @@ The checks live in suites/, one module per suite.  REGISTRY names each
 row's check by its suite and function name, and the suite module is
 imported when one of its rows first runs, so a job compiles only the
 suites it runs.  This module keeps the protocol, the seeded-data helpers
-and the helpers that several suites share; those import gep and routes
-when called, so `w --check` loads no routes.
+and the helpers that several suites share; the ones that run gep or routes
+import it when called, so `w --check` loads no routes.
 
 Constructors build each object one way.  Every comparison with another
 route, and every module identity, lives in the suites: W three ways,
@@ -78,6 +78,26 @@ def _cap(n, max_n):
     return min(n, max_n) if max_n else n
 
 
+def _diag(values, anti: bool = False) -> RMatrix:
+    """The square matrix with values down its diagonal (its antidiagonal if
+    anti) and zeros elsewhere: _diag([1] * n) is the identity."""
+    n = len(values)
+    return RMatrix([[values[i] if j == (n - 1 - i if anti else i) else 0 for j in range(n)] for i in range(n)])
+
+
+def _reversed_to(p: Poly, n: int) -> Poly:
+    """x^n p(1/x): the coefficients of p reversed within degrees 0..n; DegreeTooHigh past n."""
+    return Poly(p.to_vector(n + 1)[::-1])
+
+
+def _value(p: Poly, x) -> Fraction:
+    """p(x), by Horner."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def _apply(M: RMatrix, p: Poly) -> Poly:
     """M applied to the coefficient column of p; DegreeTooHigh if p does not fit."""
     return Poly(M.apply(p.to_vector(M.cols)))
@@ -96,11 +116,11 @@ def _restrict(M: RMatrix, m: int, grow: bool = True, shrink: bool = True) -> RMa
     if shrink:
         M = M * routes.toeplitz_window(binomial_poly(m, -1), n, k)
     else:
-        M = M.block(0, n, 0, k)
+        M = RMatrix([row[:k] for row in M.entries])
     if grow:
         M = routes.toeplitz_window(routes.geometric_negative_power(m, n), n, n) * M
-    _same(M.block(k, n, 0, k).is_zero(), True, m=m)
-    return M.block(0, k, 0, k)
+    _same(M.entries[k:], ((0,) * k,) * m, m=m)
+    return RMatrix(M.entries[:k])
 
 
 def _maps_alpha(M: RMatrix, a: Series, b: Series, **case):

@@ -18,6 +18,7 @@ from riordan_gep.suites.abeta import abeta_identities, check_functional_eq, log_
 from riordan_gep.suites.dirichlet import dir_palindromy_check
 from riordan_gep.suites.gep import alpha_gf_check, check_theorem1, check_theorem2, reduce_degenerate
 from riordan_gep.suites.w import w_routes_agree
+from riordan_gep.verify import _diag, _reversed_to, _value
 
 
 def report(name, ok):
@@ -69,7 +70,7 @@ def test_criterion_2_eulerian_polynomials():
         and gep.eulerian_poly(4) == Poly([0, 1, 11, 11, 1])
     )
     for n in range(1, 11):
-        ok = ok and gep.eulerian_poly(n)(1) == factorial(n)
+        ok = ok and _value(gep.eulerian_poly(n), 1) == factorial(n)
     report("criterion 2 (Eulerian polynomials)", ok)
 
 
@@ -82,7 +83,7 @@ def test_criterion_3_theorem_suites():
         n = rng.randint(1, 8)
         check_theorem2(gep.GepContext(rand_unit_series(rng, 2 * n + 2), n))
     ok = all(
-        gep.matrix_u(n) * gep.matrix_u_inv(n) == RMatrix.identity(n) for n in range(1, 17)
+        gep.matrix_u(n) * gep.matrix_u_inv(n) == _diag([1] * n) for n in range(1, 17)
     )
     # W three ways: decimation, U-conjugation and the V-form
     for n in range(1, 9):
@@ -91,11 +92,11 @@ def test_criterion_3_theorem_suites():
     for n in range(1, 11):
         for m in range(1, 6):
             ok = ok and all(
-                s == F(m) ** n for s in wmatrix.w_matrix(n, m).col_sums()
+                s == F(m) ** n for s in map(sum, zip(*wmatrix.w_matrix(n, m).entries))
             )
     for n in range(1, 11):
         for beta in (1, -1, 2, -2, F(1, 2), F(-1, 2), F(1, 3)):
-            sums = lagrange.abeta_matrix(n, beta).col_sums()
+            sums = map(sum, zip(*lagrange.abeta_matrix(n, beta).entries))
             ok = ok and all(s == 1 for s in sums)
     report("criterion 3 (theorem suites)", ok)
 
@@ -114,7 +115,7 @@ def test_criterion_4_pipeline_identities():
             ok = ok and gep.matrix_v(n).apply(at) == vt
             # coefficient reversal under series reciprocal
             alpha_rec = gep.GepContext(reciprocal(a), n).alpha
-            ok = ok and alpha_rec == (ctx.alpha.reversed_to(n) * ((-1) ** n)).shift_up(1)
+            ok = ok and alpha_rec == (_reversed_to(ctx.alpha, n) * ((-1) ** n)).shift_up(1)
     # degenerate-row reductions of U and U^-1
     for n in range(2, 9):
         for m in range(1, n):
@@ -194,7 +195,7 @@ def test_criterion_5_example_reproductions():
 
     # odd-part identity for the doubled geometric series
     for n in range(1, 11):
-        col = Poly(wmatrix.w_matrix(n, 2).column(0))  # W applied to alpha~ = 1
+        col = Poly(row[0] for row in wmatrix.w_matrix(n, 2).entries)  # W applied to alpha~ = 1
         spread = Poly([col.coeff(k // 2) if k % 2 == 0 else 0 for k in range(2 * n + 1)])
         rhs = (binomial_poly(n + 1, 1) - binomial_poly(n + 1, -1)) * F(1, 2)
         ok = ok and spread.shift_up(1) == rhs
@@ -218,10 +219,10 @@ def test_criterion_5_example_reproductions():
     for n in range(1, 11):
         for beta in (1, -1, 2, F(1, 2), F(2, 3)):
             closed = routes.gbs_alpha_closed_form(n, beta)
-            last = Poly(lagrange.abeta_matrix(n, beta).column(n - 1))
+            last = Poly(row[-1] for row in lagrange.abeta_matrix(n, beta).entries)
             ok = ok and closed == last.shift_up(1)
             dual = routes.gbs_alpha_closed_form(n, 1 - beta)
-            ok = ok and dual == closed.reversed_to(n).shift_up(1)
+            ok = ok and dual == _reversed_to(closed, n).shift_up(1)
     report("criterion 5 (worked examples)", ok)
 
 
@@ -252,7 +253,7 @@ def test_criterion_7_dirichlet_suite():
     for p in range(1, 4):
         for r in range(1, 4):
             g = ds.carlitz_hoggatt(r, p)
-            ok = ok and g(1) == F(factorial(p * r), factorial(p) ** r)
+            ok = ok and _value(g, 1) == F(factorial(p * r), factorial(p) ** r)
             dir_palindromy_check(r, p)
     for n in range(1, 6):
         ok = ok and ds.carlitz_hoggatt(n, 1) == gep.eulerian_poly(n)
@@ -270,7 +271,7 @@ def test_criterion_8_polynomial_stand_ins():
         t = F(rng.randint(-3, 3), rng.randint(1, 3))
         alpha_gf_check(phi, beta, t, 8)
     for n in range(1, 11):
-        col = Poly(wmatrix.w_matrix(n, 2).column(0))  # W applied to alpha~ = 1
+        col = Poly(row[0] for row in wmatrix.w_matrix(n, 2).entries)  # W applied to alpha~ = 1
         spread = Poly([col.coeff(k // 2) if k % 2 == 0 else 0 for k in range(2 * n + 1)])
         rhs = (binomial_poly(n + 1, 1) - binomial_poly(n + 1, -1)) * F(1, 2)
         ok = ok and spread.shift_up(1) == rhs

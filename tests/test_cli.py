@@ -1,4 +1,7 @@
+import errno
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -7,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from riordan_gep.cli import SUITE_NAMES, main
-from riordan_gep.output import OutputDoc
+from riordan_gep.suites.cli import _from_json
 
 
 def run_cli(capsys, *argv):
@@ -43,10 +46,10 @@ class TestSeries:
         code, out, _ = run_cli(
             capsys, "series", "eval", "(1+x)/(1-x)", "--order", "3", "--format", "json"
         )
-        doc = OutputDoc.from_json(out)
+        doc = _from_json(out)
         assert doc.kind == "SeriesCoeffs"
         assert doc.entries == [["1", "2", "2", "2"]]
-        assert OutputDoc.from_json(doc.to_json()) == doc
+        assert _from_json(doc.to_json()) == doc
 
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "series", "eval", "log(x)", "--order", "4")
@@ -326,6 +329,36 @@ class TestLimitsAndUsage:
         assert proc.stdout == "x+11x^2+11x^3+x^4\n"
 
 
+@pytest.mark.parametrize(
+    "exc", [OSError(errno.ENOSPC, "No space left on device"), BrokenPipeError(errno.EPIPE, "Broken pipe")]
+)
+def test_a_stdout_write_error_is_one_line_and_exit_1(exc, monkeypatch, capsys, tmp_path):
+    with open(tmp_path / "fd1", "w") as fd1:
+
+        class Stdout(io.StringIO):
+            def write(self, text):
+                raise exc
+
+            def fileno(self):
+                return fd1.fileno()
+
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        assert main(["euler", "--n", "4"]) == 1
+        # a closed pipe sends what stays buffered to devnull, so shutdown writes nothing
+        to_devnull = os.path.samestat(os.fstat(fd1.fileno()), os.stat(os.devnull))
+        assert to_devnull == isinstance(exc, BrokenPipeError)
+    assert capsys.readouterr().err == f"error: cannot write the output: {exc}\n"
+
+
+def test_a_full_stdout_device_is_one_line_and_exit_1():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    with open("/dev/full", "w") as full:
+        proc = _run_fresh("-m", "riordan_gep", "gep", "matrix", "U", "--n", "60", stdout=full)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write the output: [Errno 28] No space left on device\n"
+
+
 def test_registry_rows_are_the_benchmark_pins(monkeypatch):
     # perfbench/workloads.py pins every verify row; a renamed or reordered
     # row fails every verify-suites job of the benchmark
@@ -407,15 +440,14 @@ def _other_suites(suite):
     return tuple(m for m in SUITE_MODULES if m != f"suites.{suite}")
 
 
-def _run_fresh(*args):
+def _run_fresh(*args, stdout=subprocess.PIPE):
     """Run a fresh interpreter with these arguments on this checkout's package."""
-    import os
     from pathlib import Path
 
     import riordan_gep
 
     env = dict(os.environ, PYTHONPATH=str(Path(riordan_gep.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
 
 
 def _loaded_by(argv):

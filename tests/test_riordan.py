@@ -20,6 +20,7 @@ from riordan_gep.riordan import (
 )
 from riordan_gep.series import Series, exp, reciprocal
 from riordan_gep.routes import pascal_power, row_numerator
+from riordan_gep.verify import _diag
 
 ORD = RiordanKind.ORDINARY
 SQ = RiordanKind.SQUARE
@@ -129,10 +130,10 @@ class TestPascalPower:
         assert pascal_power(1, 5) == gd.PASCAL5
 
     def test_zero_is_identity(self):
-        assert pascal_power(0, 6) == RMatrix.identity(6)
+        assert pascal_power(0, 6) == _diag([1] * 6)
 
     def test_group_inverse(self):
-        assert pascal_power(1, 6) * pascal_power(-1, 6) == RMatrix.identity(6)
+        assert pascal_power(1, 6) * pascal_power(-1, 6) == _diag([1] * 6)
 
     def test_group_law_random(self):
         rng = random.Random(5)
@@ -176,7 +177,7 @@ class TestExpConjugation:
         assert exp_conjugate(window(arr, 5, 5)) == gd.PASCAL5
 
     def test_identity_fixed(self):
-        assert exp_conjugate(RMatrix.identity(4)) == RMatrix.identity(4)
+        assert exp_conjugate(_diag([1] * 4)) == _diag([1] * 4)
 
     def test_round_trip(self):
         m = RMatrix([[1, 2], [3, 4]])

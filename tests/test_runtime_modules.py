@@ -9,7 +9,10 @@ source of the package's modules except __main__, resolve each name
 through the module's imports, and follow references from the roots: all
 of cli, the statements every module runs at import, the check that each
 verify.REGISTRY row names in its suite module, and an allowlist.  Each
-public module-level function or class must be reached.
+public module-level function or class must be reached, and so must each
+public method, classmethod and property of a class: reached code reads
+its name as an attribute, or the class binds it to an alias.  A name
+read only through getattr with a computed string is allowlisted.
 """
 
 import ast
@@ -19,7 +22,7 @@ import riordan_gep
 
 PACKAGE = os.path.dirname(riordan_gep.__file__)
 
-# (module, name) -> why it stays although no runtime code calls it
+# (module, name or "Class.method") -> why it stays although no runtime code calls it
 ALLOWED = {
     # perfbench/tracer.py traces these by module
     ("lagrange", "lagrange_series"): "traced",
@@ -30,6 +33,8 @@ ALLOWED = {
     # library API documented in README
     ("riordan", "entry"): "readme",
     ("dirichlet", "dir_alpha_poly"): "readme",
+    # cli reads it as getattr(ctx, args.gep_command), a name the guard cannot follow
+    ("gep", "GepContext.u"): "getattr",
 }
 # verify-side (module, name) -> why it stays although neither `verify` nor `w --check` runs it
 ALLOWED_VERIFY = {
@@ -38,7 +43,7 @@ ALLOWED_VERIFY = {
     ("suites.gep", "alpha_gf_check"): "readme",
     ("suites.w", "w_restriction"): "readme",
 }
-REASONS = ("traced", "readme", "export")  # export: re-exported by __init__
+REASONS = ("traced", "readme", "export", "getattr")  # export: re-exported by __init__
 
 
 def _is_verify_side(mod):
@@ -109,27 +114,79 @@ def _registry_checks(tree):
     }
 
 
+def _reads(nodes):
+    """The attribute names the code of nodes reads, as in `obj.name`."""
+    return {
+        sub.attr for node in nodes for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+
+
+def _split(node):
+    """The public methods of a class node, and the rest of its code: bases,
+    decorators and every other statement of its body.  A function has no
+    methods, and its code is itself."""
+    if not isinstance(node, ast.ClassDef):
+        return {}, [node]
+    methods = {
+        m.name: m for m in node.body
+        if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and not m.name.startswith("_")
+    }
+    rest = [s for s in node.body if getattr(s, "name", None) not in methods]
+    return methods, node.bases + node.keywords + node.decorator_list + rest
+
+
 def _reached(modules, allowed):
-    """The top-level definitions (module, name) reached from the roots, and all of them."""
-    defs, edges, roots = {}, {}, set(allowed)
+    """The definitions reached from the roots, and all of them.
+
+    A definition is a top-level function or class, (module, name), or a
+    public method, classmethod or property of a top-level class,
+    (module, "Class.name").  Reaching a class reaches the rest of its code,
+    dunders and private methods included.  A public method is reached when
+    its class is and reached code reads `.name`, or when a class-level alias
+    binds it (as `__getitem__ = coeff` does).
+    """
+    defs, edges, reads, roots, attrs = {}, {}, {}, set(allowed), set()
+    methods = {}  # (module, class) -> the keys of its public methods
     for mod, tree in modules.items():
         own = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
         refs = _resolver(mod, tree, own)
         for name, node in own.items():
+            public, rest = _split(node)
+            methods[mod, name] = {(mod, f"{name}.{m}") for m in public}
+            for m, method in public.items():
+                key = (mod, f"{name}.{m}")
+                defs[key], edges[key], reads[key] = method, refs(method), _reads([method])
             defs[mod, name] = node
-            edges[mod, name] = refs(node)
+            edges[mod, name] = set().union(*map(refs, rest)) | {
+                (mod, f"{name}.{s.value.id}") for s in rest
+                if isinstance(s, ast.Assign) and isinstance(s.value, ast.Name) and s.value.id in public
+            }
+            reads[mod, name] = _reads(rest)
         for node in tree.body:
             if mod == "cli" or not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)):
                 roots |= refs(node)
+                attrs |= _reads([node])
     if "verify" in modules:
         roots |= _registry_checks(modules["verify"])
     reached, todo = set(), [r for r in roots if r in defs]
     while todo:
-        key = todo.pop()
-        if key not in reached:
-            reached.add(key)
-            todo += [r for r in edges[key] if r in defs]
+        while todo:
+            key = todo.pop()
+            if key not in reached:
+                reached.add(key)
+                attrs |= reads[key]
+                todo += [r for r in edges[key] if r in defs]
+        todo = [
+            key for cls in reached & methods.keys() for key in methods[cls]
+            if key not in reached and key[1].rpartition(".")[2] in attrs
+        ]
     return reached, defs
+
+
+def _public(name):
+    """Whether a definition's name, or a method's own name, is public."""
+    return not name.rpartition(".")[2].startswith("_")
 
 
 def test_every_public_definition_is_run_by_the_runtime():
@@ -137,7 +194,7 @@ def test_every_public_definition_is_run_by_the_runtime():
     unused = sorted(
         f"{mod}.{name}"
         for mod, name in defs
-        if mod != "cli" and not name.startswith("_") and (mod, name) not in reached
+        if mod != "cli" and _public(name) and (mod, name) not in reached
     )
     assert unused == [], "no runtime code runs these; move them to routes, verify or tests: " + ", ".join(unused)
 
@@ -147,7 +204,7 @@ def test_every_public_verify_definition_is_run_by_a_check():
     unused = sorted(
         f"{mod}.{name}"
         for mod, name in defs
-        if _is_verify_side(mod) and not name.startswith("_") and (mod, name) not in reached
+        if _is_verify_side(mod) and _public(name) and (mod, name) not in reached
     )
     assert unused == [], "neither REGISTRY, w_check_rows nor cli runs these; delete them or move them to tests: " + ", ".join(unused)
 

@@ -24,6 +24,8 @@ from riordan_gep.series import (
     reciprocal,
     reversion,
 )
+from riordan_gep.suites.abeta import _shifted
+from riordan_gep.verify import _reversed_to, _value
 
 
 def S(*coeffs, order=None):
@@ -257,11 +259,11 @@ class TestPoly:
 
     def test_eval_and_shift(self):
         p = Poly([1, 2, 1])  # (1+x)^2
-        assert p(3) == 16
-        assert p.shifted(1) == Poly([4, 4, 1])
+        assert _value(p, 3) == 16
+        assert _shifted(p, 1) == Poly([4, 4, 1])
 
     def test_reversal_window(self):
-        assert Poly([0, 1, 4, 1]).reversed_to(3) == Poly([1, 4, 1, 0])
+        assert _reversed_to(Poly([0, 1, 4, 1]), 3) == Poly([1, 4, 1, 0])
 
     def test_derivative(self):
         assert derivative(S(5, 1, 3, order=2)) == S(1, 6)

@@ -153,7 +153,7 @@ def test_a_fail_names_the_comparison_and_its_case(capsys, monkeypatch):
     rows = {row[1]: row for row in json.loads(capsys.readouterr().out)["entries"]}
     _, _, status, detail = rows["U U^-1 = I"]
     assert status == "FAIL"
-    assert detail.startswith("Mismatch: _same(gep.matrix_u(n) * gep.matrix_u_inv(n), RMatrix.identity(n)")
+    assert detail.startswith("Mismatch: _same(gep.matrix_u(n) * gep.matrix_u_inv(n), _diag([1] * n)")
     assert detail.endswith(" at n=3")
 
 
