@@ -21,7 +21,7 @@ as in (1+x)^(1/2), and x^2/4 is (x^2)/4.  '/' elsewhere is series
 division, which makes 3/4 evaluate to the constant 3/4.
 
 This module only reads expressions.  The minimal-parenthesis printer is
-routes.unparse, which the verify row "expression parser round trip" uses.
+suites.cli.unparse, for the verify row "expression parser round trip".
 """
 
 from __future__ import annotations

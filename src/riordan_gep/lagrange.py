@@ -9,9 +9,9 @@ singularity at phi + beta n = 0 is removable.
 A_n^beta maps alpha~ of a to alpha~ of b.  It is built one way: U_n
 applied to the columns of E^(n beta) U_n^-1, E^s the shift c(x) -> c(x+s).
 
-Every other route lives on the verify side: routes.py builds the paper's
-V_n^-1 D T^t D^-1 V_n, the closed binomial form of alpha_n for 1+x and
-the diagonal tables, and suites/abeta.py compares them.  Two routes stay
+Every other route lives on the verify side: suites/abeta.py builds the
+paper's V_n^-1 D T^t D^-1 V_n, the closed binomial form of alpha_n for
+1+x and the diagonal tables, and compares them.  Two routes stay
 here because perfbench traces them by module: lagrange_series (reversion
 plus composition, row "functional equations of the deformation") and
 log_abeta (the truncated exponential of row "three constructions agree").

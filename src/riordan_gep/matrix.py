@@ -48,7 +48,7 @@ class RMatrix:
         height = len(cols[0])
         if any(len(c) != height for c in cols):
             raise ValueError("ragged columns")
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(height)])
+        return cls(zip(*cols))
 
     def __eq__(self, other):
         return (
@@ -67,7 +67,7 @@ class RMatrix:
         return self.entries[i][j]
 
     def transpose(self):
-        return RMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return RMatrix(zip(*self.entries))
 
     def __mul__(self, other):
         if isinstance(other, RMatrix):

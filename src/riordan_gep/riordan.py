@@ -6,8 +6,8 @@ rows; only finite windows are ever materialized, one series product per
 column.  Exponential arrays are the diagonal factorial conjugation of
 ordinary ones.
 
-The Pascal powers, Toeplitz windows and row numerators that verify checks
-these windows against live in routes.py.  riordan_mul, which only verify
+The Pascal powers and row numerators that verify checks these windows
+against live in suites/riordan.py.  riordan_mul, which only verify
 calls, stays here because perfbench traces it as riordan.riordan_mul.
 """
 

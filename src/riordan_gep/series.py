@@ -366,10 +366,7 @@ class Poly:
         self.coeffs = tuple(as_rational(c) for c in coeffs)
 
     def degree(self) -> int:
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i] != 0:
-                return i
-        return -1
+        return len(_stripped(self.coeffs)) - 1
 
     def coeff(self, k: int) -> Fraction:
         if 0 <= k < len(self.coeffs):
@@ -378,14 +375,11 @@ class Poly:
 
     __getitem__ = coeff
 
-    def _stripped(self):
-        return self.coeffs[: self.degree() + 1]
-
     def __eq__(self, other):
-        return isinstance(other, Poly) and self._stripped() == other._stripped()
+        return isinstance(other, Poly) and _stripped(self.coeffs) == _stripped(other.coeffs)
 
     def __repr__(self):
-        return f"Poly({list(self._stripped())})"
+        return f"Poly({list(_stripped(self.coeffs))})"
 
     def __add__(self, other):
         if isinstance(other, Poly):

@@ -3,8 +3,8 @@
 The Bell sums use the plain multiplicity normalization
     B~_{n,m}(a) = sum m!/(m_1! ... m_k!) * a_{d_1}^{m_1} ... a_{d_k}^{m_k}
 over the decompositions of n into m factors >= 2; there is no a_i/i!
-weighting.  The additive B_{n,m} over partitions of n, which only the
-verify rows use, is routes.bell_partial on the same _bell_sum.
+weighting.  The additive B_{n,m} over partitions of n, which only
+verify uses, is suites.stirling.bell_partial on this _bell_sum.
 """
 
 from __future__ import annotations

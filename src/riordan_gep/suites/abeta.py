@@ -7,9 +7,21 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .. import gep, lagrange, routes
+from .. import gep, lagrange
+from ..errors import OutOfRange
 from ..matrix import RMatrix
-from ..series import Poly, Series, as_rational, binomial_poly, compose, exp, power, reciprocal
+from ..series import (
+    Poly,
+    Series,
+    as_rational,
+    binomial_poly,
+    compose,
+    derivative,
+    exp,
+    log,
+    power,
+    reciprocal,
+)
 from ..verify import (
     _cap,
     _diag,
@@ -20,6 +32,7 @@ from ..verify import (
     _same,
     _series,
     _series_a1_nonzero,
+    rational_binomial,
 )
 
 _BETAS = (
@@ -34,11 +47,20 @@ _BETAS = (
 )
 
 
+def vtilde_transform(n: int, beta, v_tilde: Poly) -> Poly:
+    """v~ of the deformed series from v~ of a: D T^t D^-1 applied to the column."""
+    beta = as_rational(beta)
+    vec = [c / (i + 1) for i, c in enumerate(v_tilde.to_vector(n))]
+    # T^t is Toeplitz: entry (i, j) is C(n beta, j - i)
+    binoms = [rational_binomial(n * beta, k) for k in range(n)]
+    return Poly([(i + 1) * sum(map(Fraction.__mul__, binoms, vec[i:])) for i in range(n)])
+
+
 def abeta_routes_agree(n: int, beta):
     """abeta_matrix, V_n^-1 D T^t D^-1 V_n and sum_{m<n} beta^m/m! (log A_n)^m agree."""
     beta, v = as_rational(beta), gep.matrix_v(n)
     by_dtilde = gep.matrix_v_inv(n) * RMatrix.from_cols(
-        routes.vtilde_transform(n, beta, Poly(col)).to_vector(n) for col in zip(*v.entries)
+        vtilde_transform(n, beta, Poly(col)).to_vector(n) for col in zip(*v.entries)
     )
     powers = _log_abeta_powers(n)
     weights = [beta**m / factorial(m) for m in range(n)]
@@ -165,11 +187,25 @@ def check_deformed_u_identity(rng, max_n):
             _same(lhs, _shifted(u, n * beta).shift_up(1), n=n, beta=beta)
 
 
+def gbs_alpha_closed_form(n: int, beta) -> Poly:
+    """alpha_n of the deformed series of 1+x, in closed binomial form.
+
+    (1/n) sum_{m=1}^{n} C(n(1-beta), m-1) C(n beta, n-m) x^m.
+    """
+    beta = as_rational(beta)
+    if n < 1:
+        raise OutOfRange("n must be positive")
+    out = [Fraction(0)] * (n + 1)
+    for m in range(1, n + 1):
+        out[m] = rational_binomial(n * (1 - beta), m - 1) * rational_binomial(n * beta, n - m) / n
+    return Poly(out)
+
+
 def check_gbs_closed_form(rng, max_n):
     for n in range(1, _cap(10, max_n) + 1):
         for beta in _BETAS:
             last = Poly(row[-1] for row in lagrange.abeta_matrix(n, beta).entries)
-            _same(routes.gbs_alpha_closed_form(n, beta), last.shift_up(1), n=n, beta=beta)
+            _same(gbs_alpha_closed_form(n, beta), last.shift_up(1), n=n, beta=beta)
 
 
 def duality_check(n: int, beta):
@@ -185,8 +221,8 @@ def duality_check(n: int, beta):
     lhs = lagrange.lagrange_coeffs(a, 1 - beta, order)
     rhs_base = reciprocal(lagrange.lagrange_coeffs(a, beta, order))
     _same(lhs, Series([c * (-1) ** i for i, c in enumerate(rhs_base.coeffs)]), n=n, beta=beta)
-    left_poly = routes.gbs_alpha_closed_form(n, 1 - beta)
-    right_poly = _reversed_to(routes.gbs_alpha_closed_form(n, beta), n).shift_up(1)
+    left_poly = gbs_alpha_closed_form(n, 1 - beta)
+    right_poly = _reversed_to(gbs_alpha_closed_form(n, beta), n).shift_up(1)
     _same(left_poly, right_poly, n=n, beta=beta)
 
 
@@ -196,11 +232,39 @@ def check_duality(rng, max_n):
             duality_check(n, beta)
 
 
+def diagonal_table(a: Series, beta, v: int, k_range, cols: int) -> RMatrix:
+    """Diagonal rearrangements of the power table of a^beta.
+
+    Row k of the v-th rearrangement is the series
+        (1 + x v beta (log b)') b^(beta k),   b = lagrange_coeffs(a, v beta),
+    which equals the direct reading [x^j] a^(beta (k + v j)).  v = 0 gives
+    the plain power table a^(beta k).
+    """
+    beta = as_rational(beta)
+    if a.coeff(0) != 1:
+        raise OutOfRange("needs a(0) = 1")
+    if a.order < cols:
+        raise OutOfRange(f"need series order >= {cols}")
+    if v == 0:
+        return RMatrix([power(a.truncate(cols), beta * k).coeffs[:cols] for k in k_range])
+    b = lagrange.lagrange_coeffs(a, v * beta, cols)
+    weight = Series.one(cols) + Series.x(cols) * derivative(log(b)).truncate(cols - 1) * (v * beta)
+    return RMatrix([(weight * power(b, beta * k)).coeffs[:cols] for k in k_range])
+
+
+def diagonal_table_direct(a: Series, beta, v: int, k_range, cols: int) -> RMatrix:
+    """Independent entry formula for the same table: entry (k, j) = [x^j] a^(beta(k+vj))."""
+    beta = as_rational(beta)
+    return RMatrix(
+        [[power(a.truncate(j), beta * (k + v * j)).coeff(j) for j in range(cols)] for k in k_range]
+    )
+
+
 def check_diagonal_tables(rng, max_n):
     cols = _cap(6, max_n)
     ks = range(-3, 4)
     one_plus_x = Series([1, 1], order=cols + 2)
     cases = [(a, Fraction(1), v) for a in (one_plus_x, _series(rng, cols + 2, a0=1)) for v in (1, 2, -1, -2)]
     for a, beta, v in cases + [(one_plus_x, Fraction(2), 1)]:
-        table = routes.diagonal_table(a, beta, v, ks, cols)
-        _same(table, routes.diagonal_table_direct(a, beta, v, ks, cols), beta=beta, v=v)
+        table = diagonal_table(a, beta, v, ks, cols)
+        _same(table, diagonal_table_direct(a, beta, v, ks, cols), beta=beta, v=v)

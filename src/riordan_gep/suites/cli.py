@@ -5,17 +5,64 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .. import gep, routes
-from ..expr import parse_expr
+from .. import gep
+from ..expr import Binary, Func, Lit, PowRational, Unary, Var, parse_expr
 from ..output import OutputDoc, matrix_doc, poly_doc, series_doc
 from ..series import Series
 from ..verify import _same
 
 
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "pow": 3, "neg": 4}
+
+
+def unparse(node) -> str:
+    """Minimal-parenthesis text form of an expr AST; reparsing yields an equal AST."""
+
+    def wrap(child, min_prec):
+        text, prec = go(child)
+        return f"({text})" if prec < min_prec else text
+
+    def go(n):
+        if isinstance(n, Lit):
+            if n.value.denominator == 1:
+                return str(n.value), 5
+            return f"{n.value.numerator}/{n.value.denominator}", 2
+        if isinstance(n, Var):
+            return "x", 5
+        if isinstance(n, Unary):
+            return "-" + wrap(n.operand, _PREC["neg"]), _PREC["neg"]
+        if isinstance(n, Binary):
+            # walk the left spine of equal-precedence links in a loop, as
+            # eval_expr does, so that long chains need no recursion
+            p = _PREC[n.op]
+            chain = []
+            while isinstance(n, Binary) and _PREC[n.op] == p:
+                chain.append(n)
+                n = n.left
+            text = wrap(n, p)
+            for link in reversed(chain):
+                text += link.op + wrap(link.right, p + 1)  # - and / are left associative
+            return text, p
+        if isinstance(n, PowRational):
+            base = wrap(n.base, _PREC["neg"])  # bases tighter than ^ need no parens
+            e = n.exponent
+            if e.denominator == 1 and e >= 0:
+                return f"{base}^{e}", _PREC["pow"]
+            if e.denominator == 1:
+                return f"{base}^({e})", _PREC["pow"]
+            return f"{base}^({e.numerator}/{e.denominator})", _PREC["pow"]
+        if isinstance(n, Func):
+            inner = ",".join(go(a)[0] for a in n.args)
+            return f"{n.name}({inner})", 5
+        raise TypeError(f"not an expression node: {n!r}")
+
+    return go(node)[0]
+
+
 def check_parser_roundtrip(rng, max_n):
     for text in _expression_corpus():
         ast = parse_expr(text)
-        _same(parse_expr(routes.unparse(ast)), ast, text=text)
+        _same(parse_expr(unparse(ast)), ast, text=text)
 
 
 def check_json_roundtrip(rng, max_n):

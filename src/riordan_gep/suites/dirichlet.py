@@ -8,9 +8,10 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .. import dirichlet as ds
-from .. import gep, routes
+from .. import gep, stirling
+from ..errors import OutOfRange
 from ..series import Poly
-from ..verify import _cap, _frac, _reversed_to, _same, _value
+from ..verify import _cap, _frac, _reversed_to, _same, _value, rational_binomial
 
 
 def check_dirichlet_window_identities(rng, max_n):
@@ -28,9 +29,33 @@ def check_dirichlet_window_identities(rng, max_n):
             _same(up, plain[n - 1, k], n=n, k=k)
             # [x^j](1+x)^-k = C(-k, j)
             down = sum(
-                minus[n - 1, j] * routes.rational_binomial(-k, j) for j in range(omega + 1)
+                minus[n - 1, j] * rational_binomial(-k, j) for j in range(omega + 1)
             )
             _same(down, inv[n - 1, k], n=n, k=k)
+
+
+def dir_u_poly(log_a: ds.DirichletSeries, n: int) -> Poly:
+    """The interpolation polynomial with u_n(m) = n! [a^m]_n, given b = log a.
+
+    Computed from the log coefficients by the Bell sum:
+    u_n = n! sum_m B~_{n,m}(b_2..b_n)/m! x^m.  Taking log a rather than a
+    lets a caller that reads many rows of one series take its log once.
+    """
+    if n < 2:
+        raise OutOfRange("rows are defined for n >= 2")
+    tail = log_a.coeffs[1:n]
+    out = [Fraction(0)]
+    for m in range(1, ds.big_omega(n) + 1):
+        out.append(Fraction(factorial(n), factorial(m)) * stirling.bell_partial_mult(n, m, tail))
+    return Poly(out)
+
+
+def rising_factorial_poly(m: int) -> Poly:
+    """x(x+1)...(x+m-1); the empty product for m = 0."""
+    acc = Poly([1])
+    for i in range(m):
+        acc = acc * Poly([i, 1])
+    return acc
 
 
 @lru_cache(maxsize=8)
@@ -43,10 +68,10 @@ def check_zeta_u_product(rng, max_n):
     rows = _cap(64, max_n * 8 if max_n else 64)
     log_z = _log_zeta(rows)
     for n in range(2, rows + 1):
-        u = routes.dir_u_poly(log_z, n)
+        u = dir_u_poly(log_z, n)
         expected = Poly([1])
         for _, mult in ds.factorize(n).items():
-            expected = expected * routes.rising_factorial_poly(mult) * Fraction(1, factorial(mult))
+            expected = expected * rising_factorial_poly(mult) * Fraction(1, factorial(mult))
         _same(u, expected * factorial(n), n=n)
 
 
@@ -57,7 +82,7 @@ def check_dir_alpha_routes(rng, max_n):
         for n in range(2, rows + 1):
             # the u route: x (Omega!/n!) U applied to u~_n
             omega = ds.big_omega(n)
-            u = routes.dir_u_poly(log_base, n)
+            u = dir_u_poly(log_base, n)
             ut = tuple(u.coeff(k) for k in range(1, omega + 1))
             scale = Fraction(factorial(omega), factorial(n))
             by_u = Poly([scale * c for c in gep.matrix_u(omega).apply(ut)]).shift_up(1)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-from .. import gep, riordan, routes
-from ..series import Series, reciprocal
+from math import comb
+
+from .. import gep, riordan
+from ..errors import KindMismatch, NotPolynomial
+from ..matrix import RMatrix
+from ..series import Poly, Series, as_rational, binomial_poly, reciprocal
 from ..verify import _cap, _frac, _same, _series, _series_a1_nonzero
 
 
@@ -24,12 +28,23 @@ def check_fundamental_theorem(rng, max_n):
             _same(lhs, riordan.window(A, size, size) * riordan.window(B, size, size), B=B.kind.value)
 
 
+def pascal_power(phi, size: int) -> RMatrix:
+    """Finite window of the phi-th Pascal power: entries C(n,k) * phi^(n-k)."""
+    phi = as_rational(phi)
+    return RMatrix(
+        [
+            [comb(n, k) * phi ** (n - k) if k <= n else 0 for k in range(size)]
+            for n in range(size)
+        ]
+    )
+
+
 def check_pascal_group(rng, max_n):
     size = _cap(8, max_n)
     for _ in range(5):
         p, q = _frac(rng), _frac(rng)
-        lhs = routes.pascal_power(p, size) * routes.pascal_power(q, size)
-        _same(lhs, routes.pascal_power(p + q, size), p=p, q=q)
+        lhs = pascal_power(p, size) * pascal_power(q, size)
+        _same(lhs, pascal_power(p + q, size), p=p, q=q)
 
 
 def check_inverse_series_array(rng, max_n):
@@ -55,7 +70,27 @@ def check_shift_is_pascal_transpose(rng, max_n):
     shift = riordan.RiordanArray(
         riordan.RiordanKind.SQUARE, Series.one(order), Series([1, 1], order=order)
     )
-    _same(riordan.window(shift, size, size), routes.pascal_power(1, size).transpose())
+    _same(riordan.window(shift, size, size), pascal_power(1, size).transpose())
+
+
+def row_numerator(A: riordan.RiordanArray, n: int) -> Poly:
+    """Numerator polynomial of row n of a square array (b, a).
+
+    Row n of (b, a) has generating function N(x)/(1-x)^(n+1) with
+    deg N <= n.  Computed by multiplying the row by (1-x)^(n+1) out to
+    2n+2 columns and checking that everything above degree n vanishes.
+    """
+    if A.kind is not riordan.RiordanKind.SQUARE:
+        raise KindMismatch("row numerator is defined for square arrays")
+    cols = 2 * n + 3
+    prod = riordan.row_of_pair(A.f, A.g, n, cols) * binomial_poly(n + 1, -1)
+    for k in range(n + 1, cols):
+        if prod.coeff(k) != 0:
+            raise NotPolynomial(
+                f"row {n} numerator check failed at coefficient {k}; "
+                "is a(0) = 1 and the truncation order large enough?"
+            )
+    return Poly([prod.coeff(k) for k in range(n + 1)])
 
 
 def check_row_numerator(rng, max_n):
@@ -65,4 +100,4 @@ def check_row_numerator(rng, max_n):
         a = _series(rng, order, a0=1)
         A = riordan.RiordanArray(riordan.RiordanKind.SQUARE, Series.one(order), a)
         # row_numerator raises NotPolynomial unless the numerator has degree <= n
-        _same(routes.row_numerator(A, n), gep.GepContext(a, n).alpha)
+        _same(row_numerator(A, n), gep.GepContext(a, n).alpha)

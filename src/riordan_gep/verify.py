@@ -9,20 +9,21 @@ reports run_suites and `w --check` reports suites.w.w_check_rows; both
 make each row with _row, which reads ok only when the check raised
 nothing and made a comparison.
 
-The checks live in suites/, one module per suite.  REGISTRY names each
+The checks live in suites/, one module per suite, together with the other
+routes and references that only they compare with.  REGISTRY names each
 row's check by its suite and function name, and the suite module is
 imported when one of its rows first runs, so a job compiles only the
-suites it runs.  This module keeps the protocol, the seeded-data helpers
-and the helpers that several suites share; the ones that run gep or routes
-import it when called, so `w --check` loads no routes.
+suites it runs and the domain modules they use.  This module keeps the
+protocol, REGISTRY and the helpers that several suites share;
+_maps_alpha imports gep when called, so `verify series` loads no gep.
 
 Constructors build each object one way.  Every comparison with another
 route, and every module identity, lives in the suites: W three ways,
 A^beta three ways, the Stirling factorizations, alpha through V^-1, U and
-the row numerator, and the rest of REGISTRY.  The other routes themselves
-are in routes.py, which only the verify side imports, except four that
-perfbench traces in their runtime modules: riordan.riordan_mul,
-wmatrix.w_alt_form, lagrange.lagrange_series and lagrange.log_abeta.
+the row numerator, and the rest of REGISTRY.  Four other routes stay in
+their runtime modules, because perfbench traces them there:
+riordan.riordan_mul, wmatrix.w_alt_form, lagrange.lagrange_series and
+lagrange.log_abeta.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ import random
 import sys
 from fractions import Fraction
 from functools import partial
+from math import comb, factorial
 
 from .matrix import RMatrix
-from .series import Poly, Series, binomial_poly
+from .series import Poly, Series, as_rational, binomial_poly
 
 
 class Mismatch(ArithmeticError):
@@ -98,6 +100,17 @@ def _value(p: Poly, x) -> Fraction:
     return acc
 
 
+def rational_binomial(r, k: int) -> Fraction:
+    """Generalized binomial C(r, k) = r(r-1)...(r-k+1)/k! for rational r."""
+    r = as_rational(r)
+    if k < 0:
+        return Fraction(0)
+    num = Fraction(1)
+    for i in range(k):
+        num *= r - i
+    return num / factorial(k)
+
+
 def _apply(M: RMatrix, p: Poly) -> Poly:
     """M applied to the coefficient column of p; DegreeTooHigh if p does not fit."""
     return Poly(M.apply(p.to_vector(M.cols)))
@@ -109,18 +122,28 @@ def _restrict(M: RMatrix, m: int, grow: bool = True, shrink: bool = True) -> RMa
 
     grow=False drops the left factor, shrink=False the (1-x)^m.
     """
-    from . import routes
-
     n = M.rows
     k = n - m
     if shrink:
-        M = M * routes.toeplitz_window(binomial_poly(m, -1), n, k)
+        M = M * _toeplitz_window(binomial_poly(m, -1), n, k)
     else:
         M = RMatrix([row[:k] for row in M.entries])
     if grow:
-        M = routes.toeplitz_window(routes.geometric_negative_power(m, n), n, n) * M
+        M = _toeplitz_window(_geometric_negative_power(m, n), n, n) * M
     _same(M.entries[k:], ((0,) * k,) * m, m=m)
     return RMatrix(M.entries[:k])
+
+
+def _toeplitz_window(coeffs: Poly | Series, rows: int, cols: int) -> RMatrix:
+    """Window of the multiplication operator (c(x), x): entry (i,j) = c_{i-j}."""
+    return RMatrix(
+        [[coeffs.coeff(i - j) if i >= j else 0 for j in range(cols)] for i in range(rows)]
+    )
+
+
+def _geometric_negative_power(m: int, order: int) -> Series:
+    """(1-x)^(-m) truncated, m >= 0."""
+    return Series([comb(m - 1 + j, j) for j in range(order + 1)])
 
 
 def _maps_alpha(M: RMatrix, a: Series, b: Series, **case):

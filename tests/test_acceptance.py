@@ -10,12 +10,17 @@ from math import comb, factorial
 import golden_data as gd
 from golden_data import convolution_numerator, geometric
 from riordan_gep import dirichlet as ds
-from riordan_gep import gep, lagrange, routes, wmatrix
+from riordan_gep import gep, lagrange, wmatrix
 from riordan_gep.cli import main
 from riordan_gep.matrix import RMatrix
 from riordan_gep.series import Poly, Series, binomial_poly, power, reciprocal
-from riordan_gep.suites.abeta import abeta_identities, check_functional_eq, log_abeta_top_power
-from riordan_gep.suites.dirichlet import dir_palindromy_check
+from riordan_gep.suites.abeta import (
+    abeta_identities,
+    check_functional_eq,
+    gbs_alpha_closed_form,
+    log_abeta_top_power,
+)
+from riordan_gep.suites.dirichlet import dir_palindromy_check, dir_u_poly, rising_factorial_poly
 from riordan_gep.suites.gep import alpha_gf_check, check_theorem1, check_theorem2, reduce_degenerate
 from riordan_gep.suites.w import w_routes_agree
 from riordan_gep.verify import _diag, _reversed_to, _value
@@ -126,7 +131,7 @@ def test_criterion_4_pipeline_identities():
         log_abeta_top_power(n)
     # Bell-sum identities for the v/u coefficients and log
     from riordan_gep.series import log as series_log
-    from riordan_gep.routes import bell_partial
+    from riordan_gep.suites.stirling import bell_partial
 
     for n in range(1, 9):
         a = rand_unit_series(rng, 2 * n + 2)
@@ -218,10 +223,10 @@ def test_criterion_5_example_reproductions():
     # closed binomial form = last matrix column, and the reversal duality
     for n in range(1, 11):
         for beta in (1, -1, 2, F(1, 2), F(2, 3)):
-            closed = routes.gbs_alpha_closed_form(n, beta)
+            closed = gbs_alpha_closed_form(n, beta)
             last = Poly(row[-1] for row in lagrange.abeta_matrix(n, beta).entries)
             ok = ok and closed == last.shift_up(1)
-            dual = routes.gbs_alpha_closed_form(n, 1 - beta)
+            dual = gbs_alpha_closed_form(n, 1 - beta)
             ok = ok and dual == _reversed_to(closed, n).shift_up(1)
     report("criterion 5 (worked examples)", ok)
 
@@ -248,8 +253,8 @@ def test_criterion_7_dirichlet_suite():
     for n in range(2, 65):
         expected = Poly([1])
         for mult in ds.factorize(n).values():
-            expected = expected * routes.rising_factorial_poly(mult) * F(1, factorial(mult))
-        ok = ok and routes.dir_u_poly(log_z64, n) == expected * factorial(n)
+            expected = expected * rising_factorial_poly(mult) * F(1, factorial(mult))
+        ok = ok and dir_u_poly(log_z64, n) == expected * factorial(n)
     for p in range(1, 4):
         for r in range(1, 4):
             g = ds.carlitz_hoggatt(r, p)

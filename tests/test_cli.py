@@ -432,8 +432,19 @@ else:
 print(json.dumps([code, out.getvalue(), sorted(sys.modules)]))
 """
 
-DOMAIN = ("dirichlet", "gep", "lagrange", "riordan", "stirling", "wmatrix", "verify", "routes")
+DOMAIN = ("dirichlet", "gep", "lagrange", "riordan", "stirling", "wmatrix", "verify")
 SUITE_MODULES = tuple(f"suites.{suite}" for suite in SUITE_NAMES)
+# the domain modules that each verify job's checks never run, so it must not load
+VERIFY_ABSENT = {
+    "series": ("dirichlet", "gep", "lagrange", "riordan", "stirling", "wmatrix", "expr"),
+    "riordan": ("dirichlet", "lagrange", "stirling", "wmatrix", "expr"),
+    "stirling": ("dirichlet", "lagrange", "wmatrix", "expr"),
+    "gep": ("dirichlet", "lagrange", "wmatrix", "expr"),
+    "w": ("dirichlet", "lagrange", "stirling", "expr"),
+    "abeta": ("dirichlet", "stirling", "wmatrix", "expr"),
+    "dirichlet": ("lagrange", "riordan", "wmatrix", "expr"),
+    "cli": ("dirichlet", "lagrange", "riordan", "stirling", "wmatrix"),
+}
 
 
 def _other_suites(suite):
@@ -464,24 +475,22 @@ def test_plain_commands_do_not_import_verify(capsys):
         ([], DOMAIN + ("expr",)),
         (["series", "eval", "x/(1-x)"], DOMAIN),
         (["dirichlet", "table", "--preset", "zeta-log", "--rows", "8"],
-         ("expr", "verify", "routes", "lagrange", "riordan", "wmatrix")),
-        (["dirichlet", "g", "--p", "2", "--r", "2"], ("expr", "verify", "routes", "riordan")),
+         ("expr", "verify", "lagrange", "riordan", "wmatrix")),
+        (["dirichlet", "g", "--p", "2", "--r", "2"], ("expr", "verify", "riordan")),
         (["euler", "--n", "5"],
-         ("expr", "verify", "routes", "dirichlet", "lagrange", "riordan", "stirling", "wmatrix")),
+         ("expr", "verify", "dirichlet", "lagrange", "riordan", "stirling", "wmatrix")),
         (["gep", "matrix", "U", "--n", "4"],
-         ("expr", "verify", "routes", "dirichlet", "lagrange", "riordan", "wmatrix")),
-        (["gep", "alpha", "--a", "exp(x)", "--n", "4"], ("verify", "routes", "dirichlet", "lagrange", "wmatrix")),
+         ("expr", "verify", "dirichlet", "lagrange", "riordan", "wmatrix")),
+        (["gep", "alpha", "--a", "exp(x)", "--n", "4"], ("verify", "dirichlet", "lagrange", "wmatrix")),
         (["riordan", "table", "--f", "exp(x)", "--g", "x", "--kind", "exp", "--rows", "4"],
-         ("verify", "routes", "dirichlet", "gep", "lagrange", "stirling", "wmatrix")),
-        (["abeta", "--n", "4", "--beta", "1/2"], ("expr", "verify", "routes", "dirichlet", "riordan", "wmatrix")),
-        (["w", "--n", "3", "--m", "2"], ("expr", "verify", "routes", "dirichlet", "lagrange")),
+         ("verify", "dirichlet", "gep", "lagrange", "stirling", "wmatrix")),
+        (["abeta", "--n", "4", "--beta", "1/2"], ("expr", "verify", "dirichlet", "riordan", "wmatrix")),
+        (["w", "--n", "3", "--m", "2"], ("expr", "verify", "dirichlet", "lagrange")),
         (["lagrange", "--a", "1+x", "--beta", "1/2", "--order", "5"],
-         ("verify", "routes", "dirichlet", "riordan", "wmatrix")),
-        (["w", "--n", "3", "--m", "2", "--check"], ("expr", "routes") + _other_suites("w")),
-        # each verify job compiles only the suite it runs
-        *((["verify", suite, "--max-n", "3"], _other_suites(suite)) for suite in SUITE_NAMES),
-        (["verify", "series", "--max-n", "3"],
-         ("routes", "dirichlet", "lagrange", "wmatrix", "riordan", "stirling", "gep", "expr")),
+         ("verify", "dirichlet", "riordan", "wmatrix")),
+        (["w", "--n", "3", "--m", "2", "--check"], ("expr",) + _other_suites("w")),
+        # each verify job compiles only the suite it runs and the domain modules it uses
+        *((["verify", suite, "--max-n", "3"], _other_suites(suite) + VERIFY_ABSENT[suite]) for suite in SUITE_NAMES),
     ]
     for argv, absent in cases:
         code, out, loaded = _loaded_by(argv)

@@ -26,9 +26,8 @@ from riordan_gep.errors import LeadingCoefficientNotOne, OutOfRange
 from riordan_gep.gep import eulerian_poly, matrix_u
 from riordan_gep.matrix import RMatrix
 from riordan_gep.series import Poly, Series, binomial_poly, power
-from riordan_gep.routes import dir_u_poly, rational_binomial, rising_factorial_poly
-from riordan_gep.suites.dirichlet import dir_palindromy_check
-from riordan_gep.verify import _reversed_to, _value
+from riordan_gep.suites.dirichlet import dir_palindromy_check, dir_u_poly, rising_factorial_poly
+from riordan_gep.verify import _reversed_to, _value, rational_binomial
 
 
 def zeta(n):

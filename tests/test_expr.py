@@ -16,8 +16,7 @@ from riordan_gep.expr import (
     parse_expr,
 )
 from riordan_gep.series import Series
-from riordan_gep.routes import unparse
-from riordan_gep.suites.cli import _expression_corpus
+from riordan_gep.suites.cli import _expression_corpus, unparse
 
 
 class TestParsing:

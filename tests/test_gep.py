@@ -20,7 +20,7 @@ from riordan_gep.gep import (
 from riordan_gep.matrix import RMatrix
 from riordan_gep.riordan import RiordanArray, RiordanKind, row_of_pair
 from riordan_gep.series import Poly, Series, binomial_poly, exp, log, power, reciprocal
-from riordan_gep.routes import row_numerator
+from riordan_gep.suites.riordan import row_numerator
 from riordan_gep.suites.gep import alpha_gf_check, check_theorem1, check_theorem2, reduce_degenerate
 from riordan_gep.verify import _diag, _restrict, _reversed_to, _value
 

@@ -11,21 +11,18 @@ from riordan_gep.gep import GepContext
 from riordan_gep.lagrange import abeta_matrix, lagrange_coeffs, lagrange_series, log_abeta
 from riordan_gep.matrix import RMatrix
 from riordan_gep.series import Poly, Series, compose, power
-from riordan_gep.routes import (
-    diagonal_table,
-    diagonal_table_direct,
-    gbs_alpha_closed_form,
-    rational_binomial,
-    vtilde_transform,
-)
 from riordan_gep.suites.abeta import (
     abeta_identities,
     abeta_routes_agree,
     check_functional_eq,
+    diagonal_table,
+    diagonal_table_direct,
     duality_check,
+    gbs_alpha_closed_form,
     log_abeta_top_power,
+    vtilde_transform,
 )
-from riordan_gep.verify import _apply, _diag
+from riordan_gep.verify import _apply, _diag, rational_binomial
 
 ONE_PLUS_X = lambda order: Series([1, 1], order=order)
 

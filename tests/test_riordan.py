@@ -19,7 +19,7 @@ from riordan_gep.riordan import (
     window,
 )
 from riordan_gep.series import Series, exp, reciprocal
-from riordan_gep.routes import pascal_power, row_numerator
+from riordan_gep.suites.riordan import pascal_power, row_numerator
 from riordan_gep.verify import _diag
 
 ORD = RiordanKind.ORDINARY

@@ -2,9 +2,10 @@
 
 Runtime modules hold only what the CLI or another runtime module runs.
 Routes that only cross-check a construction live on the verify side
-(verify.py, routes.py and the suite modules under suites/), and
-references that only the tests use live in tests/.  The verify side in
-turn holds only what `verify` or `w --check` runs.  These tests read the
+(verify.py and the suite modules under suites/), and references that
+only the tests use live in tests/.  The verify side in turn holds only
+what `verify` or `w --check` runs, and a function outside suites/ only
+what its own module, cli or two suites use.  These tests read the
 source of the package's modules except __main__, resolve each name
 through the module's imports, and follow references from the roots: all
 of cli, the statements every module runs at import, the check that each
@@ -47,7 +48,7 @@ REASONS = ("traced", "readme", "export", "getattr")  # export: re-exported by __
 
 
 def _is_verify_side(mod):
-    return mod in ("verify", "routes") or mod.startswith("suites.")
+    return mod == "verify" or mod.startswith("suites.")
 
 
 def _modules(verify_side=False):
@@ -196,7 +197,7 @@ def test_every_public_definition_is_run_by_the_runtime():
         for mod, name in defs
         if mod != "cli" and _public(name) and (mod, name) not in reached
     )
-    assert unused == [], "no runtime code runs these; move them to routes, verify or tests: " + ", ".join(unused)
+    assert unused == [], "no runtime code runs these; move them to verify or tests: " + ", ".join(unused)
 
 
 def test_every_public_verify_definition_is_run_by_a_check():
@@ -207,6 +208,28 @@ def test_every_public_verify_definition_is_run_by_a_check():
         if _is_verify_side(mod) and _public(name) and (mod, name) not in reached
     )
     assert unused == [], "neither REGISTRY, w_check_rows nor cli runs these; delete them or move them to tests: " + ", ".join(unused)
+
+
+def test_verify_holds_only_shared_functions():
+    # a function that the verify side defines outside suites/ and that a
+    # single suite uses belongs in that suite's module
+    modules = _modules(verify_side=True)
+    users = {}  # (module, name) -> the modules whose code reads it, outside its own definition
+    for mod, tree in modules.items():
+        own = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        refs = _resolver(mod, tree, own)
+        for node in tree.body:
+            for key in refs(node) - {(mod, getattr(node, "name", None))}:
+                users.setdefault(key, set()).add(mod)
+    misplaced = []
+    for mod, tree in modules.items():
+        if _is_verify_side(mod) and not mod.startswith("suites."):
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef):
+                    used = users.get((mod, node.name), set())
+                    if not used & {mod, "cli"} and sum(m.startswith("suites.") for m in used) < 2:
+                        misplaced.append(f"{mod}.{node.name}")
+    assert misplaced == [], "a single suite uses these; move them to its module: " + ", ".join(misplaced)
 
 
 def _check_allowlist(allowed, verify_side):

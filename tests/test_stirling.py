@@ -8,7 +8,7 @@ from riordan_gep.errors import OutOfRange
 from riordan_gep.riordan import row_of_pair
 from riordan_gep.series import Poly, Series, log
 from riordan_gep.stirling import bell_partial_mult, mult_decompositions, stirling1_signed, stirling2
-from riordan_gep.routes import additive_partitions, bell_partial
+from riordan_gep.suites.stirling import additive_partitions, bell_partial
 
 
 def count_set_partitions(n, k):
