@@ -10,7 +10,8 @@ The kernels work on integer numerators: mul, inv and log push integer pairs
 to the multiples of each index, so each index sees only the denominators of
 its own divisors (inv and log are one exact division, log through the
 derivation f -> Omega f), and exp sums over the decompositions of n into
-factors >= 2.
+factors >= 2.  In the outputs of mul, inv and log, equal integral values
+share one object.
 """
 
 from __future__ import annotations
@@ -92,12 +93,23 @@ def _push(num, den, n, x, nums, dens):
                 num[j], den[j] = num[j] * (dl // den[j]) + p * (dl // q), dl
 
 
+def _emit(num, den, ints):
+    """Fraction(num, den), or for an integral value the one object ints holds for it."""
+    q, r = divmod(num, den)
+    if r:
+        return Fraction(num, den)
+    x = ints.get(q)
+    if x is None:
+        x = ints[q] = Fraction(q)
+    return x
+
+
 def dirichlet_mul(a: DirichletSeries, b: DirichletSeries) -> DirichletSeries:
     """Divisor convolution: coefficient n is sum over d|n of a_d b_{n/d}.
 
     Each nonzero a_n pushes a_n b_m to index n*m (_push), so each output is
-    one Fraction over the denominators of its own divisors (zeros share one
-    Fraction object).
+    one Fraction over the denominators of its own divisors (equal integral
+    values share one object, _emit).
     """
     n_max = min(a.n_max, b.n_max)
     bs = b.coeffs[:n_max]
@@ -106,22 +118,24 @@ def dirichlet_mul(a: DirichletSeries, b: DirichletSeries) -> DirichletSeries:
     for n, x in enumerate(a.coeffs[:n_max], 1):
         if x:
             _push(num, den, n, x, nums, dens)
-    return DirichletSeries._of(tuple(Fraction(v, d) if v else _ZERO for v, d in zip(num[1:], den[1:])))
+    ints = {0: _ZERO}
+    return DirichletSeries._of(tuple(_emit(v, d, ints) for v, d in zip(num[1:], den[1:])))
 
 
 def _divide(b, a) -> tuple:
     """The coefficients y = b * a^-1 of two coefficient tuples of one length, a_1 = 1.
 
     The forward recurrence y_n = b_n - sum_{k|n, k<n} y_k a_{n/k}: once y_k is
-    final, _push adds y_k a_m to index k*m for m >= 2 (a_1 is zeroed).
+    final, _push adds y_k a_m to index k*m for m >= 2 (a_1 is zeroed).  Equal
+    integral values of y share one object (_emit).
     """
     nums, dens = [0] + [c.numerator for c in a[1:]], [c.denominator for c in a]
     num, den = [0] * (len(a) + 1), [1] * (len(a) + 1)  # the sum pushed to index n
-    out = []
+    out, ints = [], {0: _ZERO}
     for n, x in enumerate(b, 1):
-        if num[n]:
-            x = Fraction(x.numerator * den[n] - num[n] * x.denominator, x.denominator * den[n])
-        out.append(x or _ZERO)
+        if num[n] or x.denominator == 1:
+            x = _emit(x.numerator * den[n] - num[n] * x.denominator, x.denominator * den[n], ints)
+        out.append(x)
         if x:
             _push(num, den, n, x, nums, dens)
     return tuple(out)
@@ -176,7 +190,9 @@ def dirichlet_log(a: DirichletSeries) -> DirichletSeries:
         raise LeadingCoefficientNotOne("log needs a_1 = 1")
     omega = [big_omega(n) for n in range(1, a.n_max + 1)]
     scaled = _divide(tuple(w * c for w, c in zip(omega, a.coeffs)), a.coeffs)
-    return DirichletSeries._of(tuple(c / w if c else _ZERO for w, c in zip(omega, scaled)))
+    ints = {0: _ZERO}
+    return DirichletSeries._of(tuple(_emit(c.numerator, w * c.denominator, ints) if c else _ZERO
+                                     for w, c in zip(omega, scaled)))
 
 
 def dirichlet_exp(a: DirichletSeries) -> DirichletSeries:

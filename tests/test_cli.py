@@ -2,6 +2,7 @@ import errno
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -661,20 +662,41 @@ def _argv():
     return st.tuples(commands, fmt).map(lambda t: t[0] + ["--format", t[1]] if len(t[0]) > 2 else t[0])
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# The slowest of 6 000 generated examples took 95 ms; ten times that is below
+# the 5 s floor.  The alarm ends an example that never returns, which the
+# deadline alone (checked once an example returns) would not.
+ARGV_BUDGET_S = 5
+
+
+class OverBudget(Exception):
+    pass
+
+
+def _over_budget(signum, frame):
+    raise OverBudget(f"over the {ARGV_BUDGET_S} s budget")
+
+
+@settings(max_examples=150, deadline=ARGV_BUDGET_S * 1000, suppress_health_check=[HealthCheck.too_slow])
 @given(_argv())
 def test_generated_argv_ends_cleanly(argv):
     # every input ends with exit 0, 1 (one line on stderr) or 2 (usage), never
-    # a traceback; a _dispatch branch that lost an import fails here with NameError
+    # a traceback, within the budget; a _dispatch branch that lost an import
+    # fails here with NameError
     import contextlib
     import io
 
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    previous = signal.signal(signal.SIGALRM, _over_budget)
+    signal.alarm(ARGV_BUDGET_S)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert code in (0, 1, 2), argv
     if code == 1:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (argv, err.getvalue())

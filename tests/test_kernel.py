@@ -31,7 +31,9 @@ from hypothesis import strategies as st
 
 from riordan_gep import gep, series
 from riordan_gep.dirichlet import (
+    _ZERO,
     DirichletSeries,
+    array_window,
     big_omega,
     dirichlet_exp,
     dirichlet_inv,
@@ -592,13 +594,46 @@ class TestDirichlet:
         assert dirichlet_inv(z) == ref_dirichlet_inv(z)
         assert dirichlet_mul(z, z) == ref_dirichlet_mul(z, z)
 
+    @staticmethod
+    def assert_shared(coeffs):
+        """Fractions only, every zero is _ZERO, one object per distinct integral value."""
+        assert all(type(c) is F for c in coeffs)
+        assert all(c is _ZERO for c in coeffs if c == 0)
+        ints = [c for c in coeffs if c.denominator == 1]
+        assert len({id(c) for c in ints}) == len(set(ints))
+
     def test_zero_outputs_share_one_object(self):
-        mu = dirichlet_inv(DirichletSeries.zeta(40))
-        zeros = {id(c) for c in mu.coeffs if c == 0}
-        prod = dirichlet_mul(DirichletSeries.one(40), DirichletSeries.one(40))
-        zeros |= {id(c) for c in prod.coeffs if c == 0}
-        assert len(zeros) == 1
-        assert all(type(c) is F for c in mu.coeffs + prod.coeffs)
+        # each call hands out one object per distinct integral value, zero included
+        rng = random.Random(24)
+        z = DirichletSeries.zeta(600)
+        small = DirichletSeries([1] + [rng.randint(-3, 3) for _ in range(299)])
+        mu, d2, inv = dirichlet_inv(z), dirichlet_mul(z, z), dirichlet_inv(small)
+        assert mu == ref_dirichlet_inv(z) and d2 == ref_dirichlet_mul(z, z) and inv == ref_dirichlet_inv(small)
+        prod = dirichlet_mul(small, mu)
+        assert prod == ref_dirichlet_mul(small, mu)
+        # index 2 of (1, 1/2, ...)(1, -1/2, ...) is -1/2 + 1/2: a sum that cancels over the denominator 2
+        half, neg = DirichletSeries([1, F(1, 2), 3, F(5, 2)]), DirichletSeries([1, F(-1, 2), 3, F(-5, 2)])
+        cancel = dirichlet_mul(half, neg)
+        assert cancel == ref_dirichlet_mul(half, neg) and cancel.coeffs[1] is _ZERO
+        # log returns the integer series that exp was given, with its repeats
+        c = DirichletSeries([0] + [rng.randint(-2, 2) for _ in range(199)])
+        log = dirichlet_log(dirichlet_exp(c))
+        assert log == c == ref_dirichlet_log(dirichlet_exp(c))
+        for out in (mu, d2, inv, prod, cancel, log):
+            self.assert_shared(out.coeffs)
+
+    @pytest.mark.parametrize("preset", ["zeta", "zeta-inv", "zeta-log"])
+    def test_window_columns_share_integral_values(self, preset):
+        # column 0 is the identity and each further column is one kernel call
+        z = DirichletSeries.zeta(300)
+        variant = "log" if preset == "zeta-log" else "plain"
+        window = array_window(dirichlet_inv(z) if preset == "zeta-inv" else z, variant, 300, 6)
+        base = ref_dirichlet_log(z) if preset == "zeta-log" else ref_dirichlet_inv(z) if preset == "zeta-inv" else z
+        power = DirichletSeries.one(300)
+        for k, col in enumerate(zip(*window.entries)):
+            assert col == power.coeffs, k
+            self.assert_shared(col)
+            power = ref_dirichlet_mul(power, base)
 
     @staticmethod
     def one_wide_denominator():
@@ -609,25 +644,52 @@ class TestDirichlet:
         return DirichletSeries(cs)
 
     @staticmethod
-    def peak_of(fn, *args):
+    def traced(fn, *args):
+        """fn(*args), the traced bytes it leaves allocated and its traced peak."""
         tracemalloc.start()
         try:
             got = fn(*args)
-            return got, tracemalloc.get_traced_memory()[1]
+            return (got,) + tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
 
     def test_inverse_memory_follows_the_divisors(self):
         a = self.one_wide_denominator()
-        got, peak = self.peak_of(dirichlet_inv, a)
+        got, _, peak = self.traced(dirichlet_inv, a)
         assert peak < 2**20
         assert got == ref_dirichlet_inv(a)
 
     def test_mul_memory_follows_the_divisors(self):
         a, z = self.one_wide_denominator(), DirichletSeries.zeta(2000)
-        got, peak = self.peak_of(dirichlet_mul, a, z)
+        got, _, peak = self.traced(dirichlet_mul, a, z)
         assert peak < 2**20
         assert got == ref_dirichlet_mul(a, z)
+
+    @pytest.mark.parametrize("inverse, bound_kib", [(False, 256), (True, 512)])
+    def test_power_window_keeps_few_value_objects(self, inverse, bound_kib):
+        # the 3000x6 windows of <zeta> and <mu> have 152 and 54 distinct
+        # values; with one Fraction per index they held 15 002 and 12 940
+        # value objects and retained 852 and 831 KiB (now 186 and 62 objects,
+        # 120 and 113 KiB).  A first call frees 3000 rows, which fills the
+        # interpreter's free list of 6-tuples, so the traced call allocates
+        # the same rows whatever ran before it.
+        z = DirichletSeries.zeta(3000)
+        base = dirichlet_inv(z) if inverse else z
+        array_window(base, "plain", 3000, 6)
+        _, retained, _ = self.traced(array_window, base, "plain", 3000, 6)
+        assert retained < bound_kib * 1024
+
+    def test_distinct_products_add_no_table(self):
+        # all 2000 products are distinct integers, so sharing saves nothing:
+        # the per-call dict may cost at most a quarter of the 393 320-byte
+        # traced peak this product had before the values were shared
+        rng = random.Random("distinct")
+        a, b = ([rng.randint(1, 2**64) for _ in range(2000)] for _ in range(2))
+        a, b = DirichletSeries(a), DirichletSeries(b)
+        got, _, peak = self.traced(dirichlet_mul, a, b)
+        assert len(set(got.coeffs)) == 2000
+        assert peak < 1.25 * 393_320
+        assert got == ref_dirichlet_mul(a, b)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 13, 40, 150, 300])
     def test_log_and_exp(self, n):
