@@ -12,7 +12,6 @@ from .errors import (
     LeadingCoefficientNotOne,
     NonzeroConstantTerm,
     NotInvertibleForComposition,
-    NotPolynomial,
     OutOfRange,
     RiordanGepError,
     ZeroConstantTerm,
@@ -40,7 +39,6 @@ __all__ = [
     "NotInvertibleForComposition",
     "InsufficientOrder",
     "KindMismatch",
-    "NotPolynomial",
     "OutOfRange",
     "DegreeTooHigh",
     "LeadingCoefficientNotOne",

@@ -169,13 +169,13 @@ def _dispatch(args):
 
         rows = _check_limit(args.rows, "rows")
         cols = _check_limit(args.cols, "cols")
-        order = max(rows, cols) + 2
         kind = {
             "ordinary": riordan.RiordanKind.ORDINARY,
             "square": riordan.RiordanKind.SQUARE,
             "exp": riordan.RiordanKind.EXPONENTIAL,
         }[args.kind]
-        arr = riordan.RiordanArray(kind, _eval(args.f, order), _eval(args.g, order))
+        # the window reads rows 0..rows-1; order rows >= 1 keeps g'(0) for the kind check
+        arr = riordan.RiordanArray(kind, _eval(args.f, rows), _eval(args.g, rows))
         return matrix_doc(riordan.window(arr, rows, cols))
 
     if args.command == "gep":
@@ -231,7 +231,7 @@ def _dispatch(args):
         from . import dirichlet as ds
 
         if args.dirichlet_command == "g":
-            # it expands the sum it truncates to order 2(pr+1)
+            # the bound keeps the verify cut 2(pr+1), so exit codes stay, until ROADMAP item 7's cost model
             _check_limit(2 * (args.p * args.r + 1), "series order")
             return poly_doc(ds.carlitz_hoggatt(args.r, args.p))
         rows = _check_limit(args.rows, "rows")

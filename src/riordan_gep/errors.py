@@ -35,10 +35,6 @@ class KindMismatch(RiordanGepError):
     """Riordan array kinds are incompatible for the requested operation."""
 
 
-class NotPolynomial(RiordanGepError):
-    """A numerator-polynomial extraction found nonvanishing high coefficients."""
-
-
 class OutOfRange(RiordanGepError):
     """An index argument lies outside its documented range."""
 

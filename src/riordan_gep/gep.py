@@ -48,7 +48,7 @@ class GepContext:
 
         self.a = a
         self.n = n
-        self.v = row_of_pair(Series.one(n), a.truncate(n) - 1, n, n + 1)
+        self.v = row_of_pair(Series.one(n), a - 1, n, n + 1)
         self.alpha = alpha_from_v(self.v, n)
 
     @cached_property

@@ -3,8 +3,9 @@
 An ordinary array (f, g) with g(0) = 0 is lower triangular with column k
 generated by f*g^k.  A "square" array (b, a) with a(0) = 1 has infinite
 rows; only finite windows are ever materialized, one series product per
-column.  Exponential arrays are the diagonal factorial conjugation of
-ordinary ones.
+column, and every read (window, row_of_pair, entry) cuts f and g to its
+last row first.  Exponential arrays are the diagonal factorial
+conjugation of ordinary ones.
 
 The Pascal powers and row numerators that verify checks these windows
 against live in suites/riordan.py.  riordan_mul, which only verify
@@ -15,7 +16,9 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
+from operator import mul
 
 from .errors import InsufficientOrder, KindMismatch
 from .matrix import RMatrix
@@ -52,6 +55,11 @@ class RiordanArray:
         return f"RiordanArray({self.kind.value}, {self.f!r}, {self.g!r})"
 
 
+def _to_row(s: Series, n: int) -> Series:
+    """s cut to order n: rows 0..n of any column f*g^k read nothing past x^n."""
+    return s.truncate(n) if n < s.order else s
+
+
 def _columns(f: Series, g: Series, cols: int) -> list:
     """The column series f*g^k for k = 0..cols-1, one product each (none for f*g when f = 1)."""
     out = []
@@ -71,14 +79,14 @@ def row_of_pair(f: Series, g: Series, n: int, cols: int) -> Poly:
     Bypasses the RiordanArray kind checks; used for arrays whose g has
     higher valuation (still row-finite when g(0) = 0).
     """
-    return Poly([col.coeff(n) for col in _columns(f, g, cols)])
+    return Poly([col.coeff(n) for col in _columns(_to_row(f, n), _to_row(g, n), cols)])
 
 
 def entry(A: RiordanArray, n: int, k: int) -> Fraction:
     """Matrix entry (n, k); exponential arrays carry the n!/k! scaling."""
     if n < 0 or k < 0:
         raise InsufficientOrder("indices must be nonnegative")
-    c = (A.f * power(A.g, k)).coeff(n)
+    c = (_to_row(A.f, n) * power(_to_row(A.g, n), k)).coeff(n)
     if A.kind is RiordanKind.EXPONENTIAL:
         c = c * Fraction(factorial(n), factorial(k))
     return c
@@ -86,7 +94,7 @@ def entry(A: RiordanArray, n: int, k: int) -> Fraction:
 
 def window(A: RiordanArray, rows: int, cols: int) -> RMatrix:
     """Rows 0..rows-1 and columns 0..cols-1, read off the column series."""
-    columns = _columns(A.f, A.g, cols)
+    columns = _columns(_to_row(A.f, rows - 1), _to_row(A.g, rows - 1), cols)
     M = RMatrix([[col.coeff(n) for col in columns] for n in range(rows)])
     return exp_conjugate(M) if A.kind is RiordanKind.EXPONENTIAL else M
 
@@ -129,12 +137,10 @@ def exp_conjugate(M: RMatrix) -> RMatrix:
     """Conjugate by the factorial diagonal: entry (n,k) scaled by n!/k!.
 
     Sends the window of an ordinary array (f, g) to the window of its
-    exponential counterpart, e.g. the window of (e^x, x) to Pascal.
+    exponential counterpart, e.g. the window of (e^x, x) to Pascal.  The
+    factorials come from one running list; zero entries stay as they are.
     """
-    return RMatrix(
-        [
-            [M[n, k] * Fraction(factorial(n), factorial(k)) for k in range(M.cols)]
-            for n in range(M.rows)
-        ]
-    )
+    fact = list(accumulate(range(1, max(M.rows, M.cols)), mul, initial=1))
+    return RMatrix._of(tuple(tuple(c * Fraction(fact[n], fact[k]) if c else c for k, c in enumerate(row))
+                             for n, row in enumerate(M.entries)))
 

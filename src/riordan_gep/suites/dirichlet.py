@@ -10,7 +10,7 @@ from math import comb, factorial
 from .. import dirichlet as ds
 from .. import gep, stirling
 from ..errors import OutOfRange
-from ..series import Poly
+from ..series import Poly, Series, binomial_poly
 from ..verify import _cap, _frac, _reversed_to, _same, _value, rational_binomial
 
 
@@ -106,6 +106,11 @@ def check_carlitz_values(rng, max_n):
     for p in range(1, 4):
         for r in range(1, 4):
             g = ds.carlitz_hoggatt(r, p)
+            # the sum cut at m = 2(pr+1) times (1-x)^(pr+1) is g and vanishes up to the cut
+            cut = 2 * (p * r + 1)
+            terms = Series([comb(m + p - 1, p) ** r for m in range(cut + 1)])
+            head = terms * Series(binomial_poly(p * r + 1, -1).coeffs, order=cut)
+            _same(Poly(head.coeffs), g, r=r, p=p)
             # the coefficient sum is (p r)! / (p!)^r
             _same(_value(g, 1), Fraction(factorial(p * r), factorial(p) ** r), r=r, p=p)
             dir_palindromy_check(r, p)

@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from riordan_gep.cli import SUITE_NAMES, main
@@ -638,10 +638,16 @@ def _argv():
     small = st.integers(1, 6).map(str)
     rational = st.sampled_from(("0", "1", "-1", "1/2", "-5/2", "2/3", "7", "x", "1/0", "0.25", "1e9999", "1E-9"))
     fmt = st.sampled_from(("pretty", "csv", "json"))
+    kind = st.sampled_from(("ordinary", "square", "exp"))
+
+    def table(t):
+        return ["riordan", "table", f"--f={t[0]}", f"--g={t[1]}", "--kind", t[2], "--rows", t[3], "--cols", t[4]]
+
     commands = st.one_of(
         st.tuples(expr, st.integers(0, 8)).map(lambda t: ["series", "eval", f"({t[0]})", "--order", str(t[1])]),
-        st.tuples(expr, expr, st.sampled_from(("ordinary", "square", "exp")), small, small).map(
-            lambda t: ["riordan", "table", f"--f={t[0]}", f"--g={t[1]}", "--kind", t[2], "--rows", t[3], "--cols", t[4]]),
+        st.tuples(expr, expr, kind, small, small).map(table),
+        # a wide window reads its series only to its last row
+        st.tuples(expr, expr, kind, st.integers(1, 4).map(str), st.integers(1, 400).map(str)).map(table),
         st.tuples(st.sampled_from(("alpha", "u", "v")), expr, small).map(
             lambda t: ["gep", t[0], f"--a={t[1]}", "--n", t[2]]),
         st.tuples(st.sampled_from(("U", "Uinv", "V", "Vinv", "VU", "UinvVinv")), small).map(
@@ -662,9 +668,10 @@ def _argv():
     return st.tuples(commands, fmt).map(lambda t: t[0] + ["--format", t[1]] if len(t[0]) > 2 else t[0])
 
 
-# The slowest of 6 000 generated examples took 95 ms; ten times that is below
-# the 5 s floor.  The alarm ends an example that never returns, which the
-# deadline alone (checked once an example returns) would not.
+# The slowest of 6 000 generated examples (490 of them windows wider than 6
+# columns) took 190 ms; ten times that is below the 5 s floor.  The alarm
+# ends an example that never returns, which the deadline alone (checked
+# once an example returns) would not.
 ARGV_BUDGET_S = 5
 
 
@@ -678,6 +685,7 @@ def _over_budget(signum, frame):
 
 @settings(max_examples=150, deadline=ARGV_BUDGET_S * 1000, suppress_health_check=[HealthCheck.too_slow])
 @given(_argv())
+@example(["riordan", "table", "--f", "exp(x)", "--g", "x*exp(x)", "--kind", "exp", "--rows", "3", "--cols", "1000"])
 def test_generated_argv_ends_cleanly(argv):
     # every input ends with exit 0, 1 (one line on stderr) or 2 (usage), never
     # a traceback, within the budget; a _dispatch branch that lost an import

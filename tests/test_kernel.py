@@ -15,7 +15,8 @@ before it shifted the columns of U_n^-1.  The same references, with
 ref_exp(phi ref_log(a)) for fractional powers, check the O(n t) recurrences
 that reciprocal, log, exp and power run on operands with at most
 _SPARSE_TERMS nonzero terms past the constant, and a product counter pins
-which operands take them and which still run Newton; ref_product checks
+which operands take them and which still run Newton, and that Riordan
+reads make no product longer than their last row; ref_product checks
 the product's trimming of trailing zeros and its one-term scalar path.
 Every comparison is exact equality.
 """
@@ -44,7 +45,7 @@ from riordan_gep.dirichlet import (
 )
 from riordan_gep.errors import ConstantTermNotOne, NonzeroConstantTerm, ZeroConstantTerm
 from riordan_gep.matrix import RMatrix
-from riordan_gep.riordan import _columns
+from riordan_gep.riordan import RiordanArray, RiordanKind, _columns, entry, row_of_pair, window
 from riordan_gep.series import Poly, Series, exp, log, power, reciprocal
 from riordan_gep.stirling import mult_decompositions
 from riordan_gep.verify import _diag
@@ -301,9 +302,10 @@ def with_terms(rng, order, t, a0):
 
 
 def count_products(monkeypatch):
+    """The length of every series._product call, in call order."""
     calls = []
     product = series._product
-    monkeypatch.setattr(series, "_product", lambda *args: calls.append(1) or product(*args))
+    monkeypatch.setattr(series, "_product", lambda a, b, length: calls.append(length) or product(a, b, length))
     return calls
 
 
@@ -453,6 +455,48 @@ class TestProductsByOne:
         assert calls == []
         power(g, 3)
         assert len(calls) == 2
+
+
+# ---------------------------------------------------------------- reads to the last row
+
+
+class TestReadsToTheLastRow:
+    """window, row_of_pair and entry cut f and g to the last row they read."""
+
+    def test_products_stop_at_the_last_row(self, monkeypatch):
+        x = Series.x(42)
+        f, g = exp(x), x * exp(x)
+        calls = count_products(monkeypatch)
+        for kind in (RiordanKind.ORDINARY, RiordanKind.EXPONENTIAL):
+            A = RiordanArray(kind, f, g)
+            calls.clear()
+            window(A, 3, 40)
+            assert calls and max(calls) <= 3, kind
+            calls.clear()
+            entry(A, 3, 2)
+            entry(A, 3, 40)
+            assert calls and max(calls) <= 4, kind
+        calls.clear()
+        row_of_pair(f, g, 3, 40)
+        assert calls and max(calls) <= 4
+
+    @pytest.mark.parametrize("kind", list(RiordanKind))
+    def test_equal_to_the_untruncated_columns(self, kind):
+        rng = random.Random(f"reads:{kind.value}")
+        a0 = 1 if kind is RiordanKind.SQUARE else 0
+        f = rand_series(rng, 30, a0=F(3, 2))
+        g = Series([a0, F(-2, 3)] + list(rand_series(rng, 28).coeffs))
+        A = RiordanArray(kind, f, g)
+        ref = ref_columns(f, g, 9)
+
+        def scale(n, k):
+            return F(factorial(n), factorial(k)) if kind is RiordanKind.EXPONENTIAL else 1
+
+        want = RMatrix([[ref[k].coeff(n) * scale(n, k) for k in range(9)] for n in range(6)])
+        assert window(A, 6, 9) == want
+        for n in range(6):
+            assert row_of_pair(f, g, n, 9) == Poly([col.coeff(n) for col in ref])
+            assert [entry(A, n, k) for k in range(9)] == list(want.entries[n])
 
 
 # ---------------------------------------------------------------- Dirichlet

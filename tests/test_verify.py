@@ -17,11 +17,14 @@ from functools import partial
 
 import pytest
 
-from riordan_gep import gep, verify
+from riordan_gep import dirichlet, gep, verify
 from riordan_gep.cli import main
 from riordan_gep.matrix import RMatrix
+from riordan_gep.riordan import RiordanArray, RiordanKind
+from riordan_gep.series import Poly, Series
 from riordan_gep.suites import gep as gep_suite
 from riordan_gep.suites import w as w_suite
+from riordan_gep.suites.riordan import row_numerator
 from riordan_gep.wmatrix import w_matrix
 
 SUITES = os.path.join(os.path.dirname(verify.__file__), "suites")
@@ -155,6 +158,24 @@ def test_a_fail_names_the_comparison_and_its_case(capsys, monkeypatch):
     assert status == "FAIL"
     assert detail.startswith("Mismatch: _same(gep.matrix_u(n) * gep.matrix_u_inv(n), _diag([1] * n)")
     assert detail.endswith(" at n=3")
+
+
+def test_carlitz_hoggatt_is_checked_above_its_degree(capsys, monkeypatch):
+    real = dirichlet.carlitz_hoggatt
+    monkeypatch.setattr(dirichlet, "carlitz_hoggatt", lambda r, p: Poly(real(r, p).coeffs[:-1]))
+    assert main(["verify", "dirichlet", "--format", "json"]) == 1
+    rows = {row[1]: row for row in json.loads(capsys.readouterr().out)["entries"]}
+    assert rows["Carlitz-Hoggatt values and palindromy"][2:] == [
+        "FAIL", "Mismatch: _same(Poly(head.coeffs), g, r=r, p=p) at r=1, p=1"
+    ]
+
+
+def test_row_numerator_is_checked_above_degree_n(monkeypatch):
+    A = RiordanArray(RiordanKind.SQUARE, Series.one(8), Series([1, 1], order=8))
+    row_numerator(A, 2)
+    monkeypatch.setattr(A, "g", Series([2, 1], order=8))  # a(0) = 2: row 2 is x^2 / (1 - 2x)^3
+    with pytest.raises(verify.Mismatch, match=r"_same\(Poly\(prod.coeffs\[n \+ 1 : cols\]\), Poly\(\), n=n\) at n=2"):
+        row_numerator(A, 2)
 
 
 def test_identity_functions_raise_mismatch(monkeypatch):
