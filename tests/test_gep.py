@@ -7,7 +7,7 @@ import pytest
 import golden_data as gd
 from riordan_gep import gep
 from riordan_gep.errors import ConstantTermNotOne, InsufficientOrder, OutOfRange
-from golden_data import convolution_numerator, geometric
+from golden_data import geometric, rand_unit_series
 from riordan_gep.gep import (
     GepContext,
     eulerian_poly,
@@ -22,7 +22,7 @@ from riordan_gep.riordan import RiordanArray, RiordanKind, row_of_pair
 from riordan_gep.series import Poly, Series, binomial_poly, exp, log, power, reciprocal
 from riordan_gep.suites.riordan import row_numerator
 from riordan_gep.suites.gep import alpha_gf_check, check_theorem1, check_theorem2, reduce_degenerate
-from riordan_gep.verify import _diag, _restrict, _reversed_to, _value
+from riordan_gep.verify import Mismatch, _diag, _restrict, _reversed_to, _value
 
 
 def moebius_ratio(order):
@@ -42,11 +42,22 @@ def u_by_log_row(a, n):
     return Poly([F(factorial(n), factorial(m)) * row.coeff(m) for m in range(n + 1)])
 
 
-def rand_unit_series(rng, order, a1=None):
-    coeffs = [F(1)] + [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(order)]
-    if a1 is not None:
-        coeffs[1] = F(a1)
-    return Series(coeffs)
+def convolution_numerator(k, n, star=False):
+    """Numerator polynomial of row n of the quadratic convolution array.
+
+    Row n of (1/(1-x-k x^2), 1/(1-x-k x^2)) equals N_n(x)/(1-x)^(n+1);
+    N_n is row n of the companion array with second component
+    -k x^2/(1-x-k x^2).  With star=True the roles of the coefficients are
+    swapped: denominator 1 - k x - x^2, second component -x^2/(...).
+    """
+    k = F(k)
+    order = max(n, 2)
+    if star:
+        denom, top = Series([1, -k, -1], order=order), -1
+    else:
+        denom, top = Series([1, -1, -k], order=order), -k
+    f = reciprocal(denom)
+    return row_of_pair(f, f * Series([0, 0, top], order=order), n, n // 2 + 1)
 
 
 class TestEulerian:
@@ -178,7 +189,7 @@ class TestVPoly:
 
 class TestAlphaPoly:
     def test_moebius_ratio_closed_form(self):
-        for n in range(1, 7):
+        for n in range(1, 9):
             ctx = GepContext(moebius_ratio(2 * n + 2), n)
             assert ctx.alpha == (binomial_poly(n - 1, 1) * 2).shift_up(1)
 
@@ -257,7 +268,7 @@ class TestReversal:
 
 class TestTheorems:
     def test_theorem1(self):
-        for n in (1, 2, 7, 12, 16):
+        for n in range(1, 17):
             check_theorem1(n)
 
     def test_theorem2_exponential(self):
@@ -317,6 +328,11 @@ class TestReduceDegenerate:
     def test_range_check(self):
         with pytest.raises(OutOfRange):
             reduce_degenerate(3, 3)
+
+    def test_restriction_needs_vanishing_rows(self):
+        # diag(1, 2, 3) is no Riordan array: its restriction keeps a nonzero last row
+        with pytest.raises(Mismatch, match="m=1"):
+            _restrict(_diag([1, 2, 3]), 1)
 
     def test_sweep(self):
         for n in range(2, 9):
@@ -404,7 +420,7 @@ class TestExampleOneFormulas:
     """Both closed forms for u_n at a = (1+x)/(1-x)."""
 
     def test_products_of_shifted_factors(self):
-        for n in range(1, 8):
+        for n in range(1, 9):
             a = moebius_ratio(2 * n + 2)
             u = GepContext(a, n).u
             first = Poly()

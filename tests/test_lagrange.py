@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 import golden_data as gd
-from golden_data import geometric
+from golden_data import geometric, rand_unit_series
 from riordan_gep.errors import DegreeTooHigh, OutOfRange
 from riordan_gep.gep import GepContext
 from riordan_gep.lagrange import abeta_matrix, lagrange_coeffs, lagrange_series, log_abeta
@@ -22,7 +22,7 @@ from riordan_gep.suites.abeta import (
     log_abeta_top_power,
     vtilde_transform,
 )
-from riordan_gep.verify import _apply, _diag, rational_binomial
+from riordan_gep.verify import _apply, _diag, _reversed_to, rational_binomial
 
 ONE_PLUS_X = lambda order: Series([1, 1], order=order)
 
@@ -73,7 +73,7 @@ class TestLagrangeCoeffs:
         rng = random.Random(47)
         for _ in range(40):
             order = rng.randint(1, 9)
-            a = Series([1] + [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(order)])
+            a = rand_unit_series(rng, order, bound=3)
             beta = F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
             phi = -beta * rng.randint(1, order)
             assert lagrange_coeffs(a, beta, order, phi) == power(lagrange_series(a, beta, order), phi)
@@ -95,8 +95,7 @@ class TestLagrangeSeries:
     def test_agrees_with_formula_route(self):
         rng = random.Random(41)
         for beta in (1, 2, F(1, 2)):
-            coeffs = [F(1)] + [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(10)]
-            a = Series(coeffs)
+            a = rand_unit_series(rng, 10, bound=3)
             assert lagrange_series(a, beta, 10) == lagrange_coeffs(a, beta, 10)
 
     def test_closed_forms_to_order_ten(self):
@@ -130,8 +129,7 @@ class TestFunctionalEquations:
     def test_random_series_sweep(self):
         rng = random.Random(43)
         for _ in range(10):
-            coeffs = [F(1)] + [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(12)]
-            a = Series(coeffs)
+            a = rand_unit_series(rng, 12, bound=3)
             for beta in (1, -1, 2, F(1, 2)):
                 check_functional_eq(a, beta, 12)
 
@@ -156,9 +154,7 @@ class TestDiagonalTables:
         assert got == RMatrix([[1, 1, 0, 0]])
 
     def test_direct_reading_agrees(self):
-        rng = random.Random(47)
-        coeffs = [F(1)] + [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(8)]
-        a = Series(coeffs)
+        a = rand_unit_series(random.Random(47), 8, bound=3)
         for v in (1, 2, -1, -2):
             lhs = diagonal_table(a, 1, v, range(-2, 3), 5)
             assert lhs == diagonal_table_direct(a, 1, v, range(-2, 3), 5)
@@ -246,10 +242,7 @@ class TestABetaApply:
         rng = random.Random(59)
         for n in range(1, 7):
             for beta in (1, 2, F(1, 2)):
-                coeffs = [F(1)] + [
-                    F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2 * n + 2)
-                ]
-                a = Series(coeffs)
+                a = rand_unit_series(rng, 2 * n + 2, bound=3)
                 alpha_t = GepContext(a, n).alpha.shift_down(1)
                 moved = _apply(abeta_matrix(n, beta), alpha_t)
                 deformed = lagrange_series(a, beta, 2 * n + 2)
@@ -267,11 +260,13 @@ class TestClosedForm:
             ).shift_up(k)
 
     def test_equals_last_column(self):
+        # and the beta <-> 1-beta duality reverses it
         for n in range(1, 11):
             for beta in (1, -1, 2, F(1, 2), F(2, 3)):
                 closed = gbs_alpha_closed_form(n, beta)
                 last = Poly(row[-1] for row in abeta_matrix(n, beta).entries)
                 assert closed == last.shift_up(1)
+                assert gbs_alpha_closed_form(n, 1 - beta) == _reversed_to(closed, n).shift_up(1)
 
 
 class TestVTilde:

@@ -1,12 +1,14 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
+from golden_data import rand_unit_series
 from riordan_gep.errors import OutOfRange
-from riordan_gep.riordan import row_of_pair
-from riordan_gep.series import Poly, Series, log
+from riordan_gep.gep import GepContext
+from riordan_gep.series import Poly, log
 from riordan_gep.stirling import bell_partial_mult, mult_decompositions, stirling1_signed, stirling2
 from riordan_gep.suites.stirling import additive_partitions, bell_partial
 
@@ -101,15 +103,15 @@ class TestBellPartial:
         assert bell_partial(4, 2, [1, 1, 1, 1]) == 3
 
     def test_matches_square_array_rows(self):
+        # v_n, row n of (1, a-1), and u_n, row n of the exponential array
+        # (1, log a), written against Bell sums in the coefficients
         rng = random.Random(19)
-        for n in (3, 5, 8):
-            order = 2 * n + 2
-            coeffs = [F(1)] + [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(order)]
-            a = Series(coeffs)
-            # row n of (1, a-1) written against Bell sums in the coefficients
-            r = row_of_pair(Series.one(order), a - 1, n, n + 1)
+        for n in range(1, 9):
+            a = rand_unit_series(rng, 2 * n + 2)
+            ctx, b = GepContext(a, n), log(a)
             for m in range(1, n + 1):
-                assert r.coeff(m) == bell_partial(n, m, coeffs[1 : n + 1])
+                assert ctx.v.coeff(m) == bell_partial(n, m, a.coeffs[1 : n + 1])
+                assert ctx.u.coeff(m) == F(factorial(n), factorial(m)) * bell_partial(n, m, b.coeffs[1 : n + 1])
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
@@ -165,13 +167,11 @@ class TestBellPartialMult:
 
 
 def test_log_coefficient_bell_identity():
-    rng = random.Random(23)
-    coeffs = [F(1)] + [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(9)]
-    a = Series(coeffs)
+    a = rand_unit_series(random.Random(23), 9, bound=3)
     la = log(a)
     for p in range(1, 9):
         s = sum(
-            F((-1) ** (m + 1), m) * bell_partial(p, m, coeffs[1 : p + 1])
+            F((-1) ** (m + 1), m) * bell_partial(p, m, a.coeffs[1 : p + 1])
             for m in range(1, p + 1)
         )
         assert s == la.coeff(p)

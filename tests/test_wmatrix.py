@@ -7,8 +7,8 @@ import golden_data as gd
 from riordan_gep.errors import DegreeTooHigh, OutOfRange
 from riordan_gep.gep import GepContext, matrix_u, matrix_u_inv
 from riordan_gep.matrix import RMatrix
-from golden_data import geometric
-from riordan_gep.series import Poly, Series, binomial_poly, power
+from golden_data import geometric, rand_unit_series
+from riordan_gep.series import Poly, binomial_poly, power
 from riordan_gep.suites.w import w_identities, w_restriction
 from riordan_gep.verify import _apply, _diag
 from riordan_gep.wmatrix import w_alt_form, w_matrix
@@ -120,10 +120,7 @@ class TestApply:
         rng = random.Random(37)
         for n in range(1, 7):
             for m in (2, 3):
-                coeffs = [F(1)] + [
-                    F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2 * n + 2)
-                ]
-                a = Series(coeffs)
+                a = rand_unit_series(rng, 2 * n + 2)
                 alpha_t = GepContext(a, n).alpha.shift_down(1)
                 moved = _apply(w_matrix(n, m), alpha_t)
                 direct = GepContext(power(a, m), n).alpha.shift_down(1)
