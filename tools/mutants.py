@@ -7,9 +7,9 @@ occurs exactly once.  For each mutant the tool copies every file that
 `git ls-files` lists into a temporary directory, applies the mutant, runs
 tier-1 there once and prints the tests that failed: the mutant's killers.
 The runs leave out tests/test_mutants.py, which checks this list and so fails
-in every mutated copy, and Hypothesis's shrinking, which never turns a kill
-into a survival but behind a broken kernel takes minutes.  A note that starts
-with "equivalent" marks a mutant that only moves time or memory.
+in every mutated copy; like every tier-1 run they skip Hypothesis's shrinking
+(tests/conftest.py).  A note that starts with "equivalent" marks a mutant that
+only moves time or memory.
 """
 
 import os
@@ -24,11 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 600  # seconds per run; tier-1 takes about 40
 PYTEST = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
-          "--hypothesis-seed=0", "-rfE", "--tb=no", "--ignore=tests/test_mutants.py", "-p", "_no_shrink"]
-NO_SHRINK = """from hypothesis import Phase, settings
-settings.register_profile("no_shrink", phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
-settings.load_profile("no_shrink")
-"""
+          "--hypothesis-seed=0", "-rfE", "--tb=no", "--ignore=tests/test_mutants.py"]
 
 MUTANTS = [
     ("product-slot-width", "riordan_gep/series.py", "+ min(len(a), len(b)).bit_length() + 8) // 8", "+ 8) // 8",
@@ -57,6 +53,8 @@ MUTANTS = [
      "the product array drops the left factor's f"),
     ("matrix-u-large-n", "riordan_gep/gep.py", "    fn = factorial(n)\n    cols = []",
      "    fn = factorial(n) + (n > 12)\n    cols = []", "U_n wrong only from n = 13 on"),
+    ("matrix-v-large-n", "riordan_gep/gep.py", "binomial_poly(n - p - 1, sign)",
+     "binomial_poly(n - p - 1 + (sign > 0 and n > 6), sign)", "V_n wrong only from n = 7 on"),
     ("shifted-scale", "riordan_gep/gep.py", "q ** (n - 1 - i) for i", "q ** max(n - 2 - i, 0) for i",
      "E^s U_n^-1 wrong only for a fractional shift s"),
     ("stirling-products-scale", "riordan_gep/gep.py", "scale = Fraction(fn, factorial(p + 1))",
@@ -91,6 +89,8 @@ MUTANTS = [
      "the Carlitz-Hoggatt polynomial loses its top coefficient"),
     ("bell-multinomial", "riordan_gep/stirling.py", "coeff //= factorial(mult)", "coeff //= mult",
      "Bell weights wrong only for a part of multiplicity >= 3"),
+    ("stirling1-large-n", "riordan_gep/stirling.py", "row[k] = left - (r - 1) * mid",
+     "row[k] = left - (r - 1 + (r > 10)) * mid", "signed Stirling numbers of the first kind wrong only from n = 11 on"),
     ("parser-power-once", "riordan_gep/expr.py", "node = PowRational(node, expo, (node.span[0], end))", "pass",
      "x^k parses as x"),
     ("format-fraction-parens", "riordan_gep/output.py", 'body = f"({mag}){base}"', 'body = f"{mag}{base}"',
@@ -121,9 +121,7 @@ def killers(files, mutant=None) -> list:
         if mutant:
             target = Path(tmp, "src", mutant[1])
             target.write_text(target.read_text(encoding="utf-8").replace(mutant[2], mutant[3]), encoding="utf-8")
-        Path(tmp, "_plugins").mkdir()
-        Path(tmp, "_plugins", "_no_shrink.py").write_text(NO_SHRINK, encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", "_plugins", os.environ.get("PYTHONPATH", "")]))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.Popen(PYTEST, cwd=tmp, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
                                 text=True, start_new_session=True)
         try:
