@@ -23,10 +23,10 @@ from riordan_gep.dirichlet import (
     factorize,
 )
 from riordan_gep.errors import LeadingCoefficientNotOne, OutOfRange
-from riordan_gep.gep import eulerian_poly, matrix_u
+from riordan_gep.gep import eulerian_poly
 from riordan_gep.matrix import RMatrix
 from riordan_gep.series import Poly, Series, binomial_poly, power
-from riordan_gep.suites.dirichlet import dir_palindromy_check, dir_u_poly, rising_factorial_poly
+from riordan_gep.suites.dirichlet import dir_u_poly, rising_factorial_poly
 from riordan_gep.verify import _reversed_to, _value, rational_binomial
 
 
@@ -256,14 +256,6 @@ class TestVPoly:
 
 
 class TestUPoly:
-    def test_rising_factorial_products(self):
-        log_z = dirichlet_log(zeta(64))
-        for n in range(2, 65):
-            expected = Poly([1])
-            for mult in factorize(n).values():
-                expected = expected * rising_factorial_poly(mult) * F(1, factorial(mult))
-            assert dir_u_poly(log_z, n) == expected * factorial(n)
-
     def test_interpolation_values(self):
         # u_n(m) = n! [a^m]_n for the first few convolution powers
         rng = random.Random(83)
@@ -288,21 +280,6 @@ class TestAlphaPoly:
 
     def test_thirty_six_is_carlitz_hoggatt(self):
         assert dir_alpha_poly(zeta(36), 36) == carlitz_hoggatt(2, 2)
-
-    def test_routes_agree(self):
-        rng = random.Random(89)
-        a = rand_series(rng, 64)
-        z = zeta(64)
-        for base in (a, z):
-            log_base = dirichlet_log(base)
-            for n in range(2, 65):
-                # the u route: x (Omega!/n!) U applied to u~_n
-                omega = big_omega(n)
-                u = dir_u_poly(log_base, n)
-                ut = [u.coeff(k) for k in range(1, omega + 1)]
-                scale = F(factorial(omega), factorial(n))
-                by_u = Poly([scale * c for c in matrix_u(omega).apply(ut)]).shift_up(1)
-                assert dir_alpha_poly(base, n) == by_u
 
     def test_row_generating_function(self):
         # alpha_n / (1-x)^(Omega+1) reproduces row n of <zeta>
@@ -339,21 +316,10 @@ class TestCarlitzHoggatt:
         assert g == Poly([0, 1, 4, 1])
         assert _value(g, 1) == 6
 
-    def test_value_at_one(self):
-        for p in range(1, 4):
-            for r in range(1, 4):
-                g = carlitz_hoggatt(r, p)
-                assert _value(g, 1) == F(factorial(p * r), factorial(p) ** r)
-
     def test_degree(self):
         for p in range(1, 4):
             for r in range(1, 4):
                 assert carlitz_hoggatt(r, p).degree() == p * r - p + 1
-
-    def test_palindromy(self):
-        for p in range(1, 4):
-            for r in range(1, 4):
-                dir_palindromy_check(r, p)
 
     def test_rejects_nonpositive_arguments(self):
         with pytest.raises(OutOfRange):

@@ -7,19 +7,14 @@ import pytest
 import golden_data as gd
 from golden_data import geometric, rand_unit_series
 from riordan_gep.errors import DegreeTooHigh, OutOfRange
-from riordan_gep.gep import GepContext
 from riordan_gep.lagrange import abeta_matrix, lagrange_coeffs, lagrange_series, log_abeta
 from riordan_gep.matrix import RMatrix
 from riordan_gep.series import Poly, Series, compose, power
 from riordan_gep.suites.abeta import (
-    abeta_identities,
-    abeta_routes_agree,
     check_functional_eq,
     diagonal_table,
     diagonal_table_direct,
-    duality_check,
     gbs_alpha_closed_form,
-    log_abeta_top_power,
     vtilde_transform,
 )
 from riordan_gep.verify import _apply, _diag, _reversed_to, rational_binomial
@@ -176,22 +171,9 @@ class TestABetaMatrix:
         assert abeta_matrix(3, F(1, 2)) == gd.A3_HALF
         assert abeta_matrix(4, F(1, 2)) == gd.A4_HALF
 
-    def test_constructions_agree(self):
-        for n in range(1, 9):
-            for beta in (1, -1, 2, -2, F(1, 2), F(-1, 3)):
-                abeta_routes_agree(n, beta)
-
     def test_zero_beta_is_identity(self):
         for n in (1, 3, 5):
             assert abeta_matrix(n, 0) == _diag([1] * n)
-
-    def test_group_law(self):
-        rng = random.Random(53)
-        for n in range(1, 9):
-            b1 = F(rng.randint(-3, 3), rng.randint(1, 3))
-            b2 = F(rng.randint(-3, 3), rng.randint(1, 3))
-            lhs = abeta_matrix(n, b1) * abeta_matrix(n, b2)
-            assert lhs == abeta_matrix(n, b1 + b2)
 
     def test_log_generator_displays(self):
         assert log_abeta(2) == gd.LOG_A2
@@ -207,12 +189,6 @@ class TestABetaMatrix:
 
     def test_column_sums_display(self):
         assert all(s == 1 for s in map(sum, zip(*gd.A4_HALF.entries)))
-
-    def test_identities_sweep(self):
-        for n in range(1, 11):
-            for beta in (1, -1, 2, -2, F(1, 2), F(-1, 2), F(1, 3)):
-                abeta_identities(n, beta)
-            log_abeta_top_power(n)
 
 
 class TestABetaApply:
@@ -237,16 +213,6 @@ class TestABetaApply:
     def test_degree_bound(self):
         with pytest.raises(DegreeTooHigh):
             _apply(abeta_matrix(2, 1), Poly([0, 0, 1]))
-
-    def test_matches_deformed_series_pipeline(self):
-        rng = random.Random(59)
-        for n in range(1, 7):
-            for beta in (1, 2, F(1, 2)):
-                a = rand_unit_series(rng, 2 * n + 2, bound=3)
-                alpha_t = GepContext(a, n).alpha.shift_down(1)
-                moved = _apply(abeta_matrix(n, beta), alpha_t)
-                deformed = lagrange_series(a, beta, 2 * n + 2)
-                assert moved == GepContext(deformed, n).alpha.shift_down(1)
 
 
 class TestClosedForm:
@@ -311,19 +277,3 @@ class TestVTilde:
                     ]
                 )
                 assert got == expected
-
-
-class TestDuality:
-    def test_half_beta_self_dual(self):
-        for n in range(1, 7):
-            duality_check(n, F(1, 2))
-
-    def test_zero_one_pair(self):
-        for n in range(1, 7):
-            duality_check(n, 0)
-            duality_check(n, 1)
-
-    def test_catalan_pair(self):
-        for n in range(1, 7):
-            duality_check(n, 2)
-            duality_check(n, -1)

@@ -54,12 +54,6 @@ class TestStirlingNumbers:
         assert prod == Poly([0, -6, 11, -6, 1])
         assert [prod.coeff(k) for k in range(5)] == [stirling1_signed(4, k) for k in range(5)]
 
-    def test_orthogonality(self):
-        for n in range(13):
-            for m in range(13):
-                s = sum(stirling1_signed(n, k) * stirling2(k, m) for k in range(m, n + 1))
-                assert s == (1 if n == m else 0)
-
     def test_recurrences(self):
         for n in range(1, 10):
             for k in range(1, n):
